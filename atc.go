@@ -290,35 +290,21 @@ func WithoutTranslations() ReadOption {
 	return func(o *core.DecodeOptions) { o.IgnoreTranslations = true }
 }
 
-// WithChunkCache bounds the number of decompressed chunks cached in memory
-// during decoding (default 8). Ignored when WithSharedChunkCache provides
-// the cache itself.
+// WithChunkCache bounds the Reader's private chunk cache to n chunks
+// (default 8): it holds n strides (the interval length, or the segment
+// length for segmented traces) of decoded addresses and evicts least
+// recently used. Ignored when WithSharedChunkCache provides the cache.
 func WithChunkCache(n int) ReadOption {
 	return func(o *core.DecodeOptions) { o.ChunkCacheSize = n }
 }
 
-// ChunkCache holds decompressed chunks for a Reader, keyed by chunk ID.
-// Inject one with WithSharedChunkCache; see atc/internal/core for the
-// interface contract (cached slices are shared and immutable).
-type ChunkCache = core.ChunkCache
-
-// SharedChunkCache is a concurrency-safe LRU chunk cache meant to be
-// shared by a pool of Readers over one trace: a hot chunk decompresses
-// once per process instead of once per reader, and concurrent misses on
-// the same chunk deduplicate onto a single decompression.
-type SharedChunkCache = core.SharedChunkCache
-
-// NewSharedChunkCache returns a SharedChunkCache bounding n chunks
-// (minimum 1).
-func NewSharedChunkCache(n int) *SharedChunkCache { return core.NewSharedChunkCache(n) }
-
-// WithSharedChunkCache replaces the Reader's private chunk cache with a
-// caller-provided one — typically one NewSharedChunkCache shared by every
-// pooled Reader of the same trace, or a SharedChunkCacheBytes trace view
-// (ForTrace) when many traces share one byte budget. Do not share one
-// SharedChunkCache across different traces: chunk IDs would collide.
+// WithSharedChunkCache replaces the Reader's private chunk cache with one
+// trace's view of a process-wide SharedChunkCacheBytes (ForTrace) —
+// typically shared by every pooled Reader of that trace, so a hot chunk
+// decompresses once per process instead of once per reader, and
+// concurrent misses on one chunk deduplicate onto a single decompression.
 // Overrides WithChunkCache.
-func WithSharedChunkCache(c ChunkCache) ReadOption {
+func WithSharedChunkCache(c *TraceChunkCache) ReadOption {
 	return func(o *core.DecodeOptions) { o.ChunkCache = c }
 }
 
@@ -330,8 +316,7 @@ func WithSharedChunkCache(c ChunkCache) ReadOption {
 type SharedChunkCacheBytes = core.SharedChunkCacheBytes
 
 // TraceChunkCache is one trace's view of a SharedChunkCacheBytes; it
-// satisfies WithSharedChunkCache and carries per-trace hit/load/eviction
-// and residency counters.
+// carries per-trace hit/load/eviction and residency counters.
 type TraceChunkCache = core.TraceChunkCache
 
 // NewSharedChunkCacheBytes returns a process-wide chunk cache holding at
@@ -356,8 +341,8 @@ func WithReadahead(n int) ReadOption {
 // n × 8 bytes regardless of the trace's interval or segment length:
 // lossless segments stream-decode directly into recycled batch buffers
 // and imitation translations write into them instead of whole-interval
-// copies. Negative n restores whole-span delivery (one interval or
-// segment per batch). The decoded stream is identical for every value.
+// copies. Zero or negative n selects the default. The decoded stream is
+// identical for every value.
 func WithBatchAddrs(n int) ReadOption {
 	return func(o *core.DecodeOptions) { o.BatchAddrs = n }
 }

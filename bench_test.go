@@ -463,8 +463,8 @@ func BenchmarkEncodeFrontendWorkers2(b *testing.B) { benchmarkEncodeFrontend(b, 
 func BenchmarkEncodeFrontendWorkers4(b *testing.B) { benchmarkEncodeFrontend(b, 4) }
 
 // benchmarkReadaheadBatch measures a full readahead decode of a
-// segmented lossless trace at a given batch size (negative = whole-span
-// delivery, the pre-batching pipeline). B/op is the point: batched
+// segmented lossless trace at a given batch size (0 = the default).
+// B/op is the point: batched
 // delivery streams segments through recycled BatchAddrs-sized buffers,
 // so allocation no longer scales with SegmentAddrs. The "store" backend
 // variants isolate the pipeline's own buffering from the back end's
@@ -517,20 +517,13 @@ func benchmarkReadaheadBatch(b *testing.B, backend string, segment, batch int) {
 func BenchmarkReadaheadBatched(b *testing.B) {
 	benchmarkReadaheadBatch(b, "bsc", segBenchAddrs, 0) // default batch size
 }
-func BenchmarkReadaheadWholeSpan(b *testing.B) {
-	benchmarkReadaheadBatch(b, "bsc", segBenchAddrs, -1)
-}
 func BenchmarkReadaheadBatchedBigSeg(b *testing.B) {
 	benchmarkReadaheadBatch(b, "store", segBenchSegments*segBenchAddrs/2, 4096)
-}
-func BenchmarkReadaheadWholeSpanBigSeg(b *testing.B) {
-	benchmarkReadaheadBatch(b, "store", segBenchSegments*segBenchAddrs/2, -1)
 }
 
 // imitationBenchTrace repeats one distribution, so lossy mode stores a
 // single chunk plus imitation records for every later interval — the
-// workload where whole-span delivery paid a full interval copy per
-// imitation.
+// workload where a whole-interval copy per imitation would dominate.
 func imitationBenchTrace(intervals, intervalLen int) []uint64 {
 	rng := rand.New(rand.NewSource(2009))
 	addrs := make([]uint64, 0, intervals*intervalLen)
@@ -542,11 +535,11 @@ func imitationBenchTrace(intervals, intervalLen int) []uint64 {
 	return addrs
 }
 
-// benchmarkReadaheadImitation decodes an imitation-heavy lossy trace:
-// batched delivery translates imitations into recycled batch buffers on
-// concurrent span tasks instead of one whole-interval copy per record on
-// the producer goroutine.
-func benchmarkReadaheadImitation(b *testing.B, batch int) {
+// BenchmarkReadaheadBatchedImitation decodes an imitation-heavy lossy
+// trace: batched delivery translates imitations into recycled batch
+// buffers on concurrent span tasks instead of one whole-interval copy per
+// record on the producer goroutine.
+func BenchmarkReadaheadBatchedImitation(b *testing.B) {
 	const (
 		intervals   = 24
 		intervalLen = 10_000
@@ -575,7 +568,7 @@ func benchmarkReadaheadImitation(b *testing.B, batch int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := atc.NewReader("bench", atc.WithReadStore(mem),
-			atc.WithReadahead(4), atc.WithBatchAddrs(batch))
+			atc.WithReadahead(4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -596,9 +589,6 @@ func benchmarkReadaheadImitation(b *testing.B, batch int) {
 		}
 	}
 }
-
-func BenchmarkReadaheadBatchedImitation(b *testing.B)   { benchmarkReadaheadImitation(b, 0) }
-func BenchmarkReadaheadWholeSpanImitation(b *testing.B) { benchmarkReadaheadImitation(b, -1) }
 
 // BenchmarkReadaheadBatchedReused is BenchmarkReadaheadBatched with one
 // long-lived Reader rewound between iterations instead of reopened: the
@@ -1147,13 +1137,12 @@ func remoteBenchTrace(b *testing.B) (string, int64) {
 	return path, int64(len(addrs))
 }
 
-// benchmarkRemotePrefetch decodes the whole segmented archive
+// BenchmarkRemotePrefetchAdaptive decodes the whole segmented archive
 // front-to-back over a local Range-speaking origin with a cold block
-// cache each iteration, and reports the origin round-trips. maxPrefetch
-// 0 is the adaptive readahead (window doubles on sequential hits, up to
-// 16 blocks per coalesced GET); 1 pins the pre-adaptive fixed depth-1
-// behavior, one block per GET, for comparison.
-func benchmarkRemotePrefetch(b *testing.B, maxPrefetch int) {
+// cache each iteration, and reports the origin round-trips. The adaptive
+// readahead window doubles on sequential hits, up to 16 blocks per
+// coalesced GET.
+func BenchmarkRemotePrefetchAdaptive(b *testing.B) {
 	path, total := remoteBenchTrace(b)
 	var gets atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -1165,9 +1154,8 @@ func benchmarkRemotePrefetch(b *testing.B, maxPrefetch int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rst, err := store.OpenRemote(srv.URL, store.RemoteOptions{
-			BlockSize:         32768,
-			CacheBlocks:       128,
-			MaxPrefetchBlocks: maxPrefetch,
+			BlockSize:   32768,
+			CacheBlocks: 128,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -1187,6 +1175,3 @@ func benchmarkRemotePrefetch(b *testing.B, maxPrefetch int) {
 	}
 	b.ReportMetric(float64(gets.Load())/float64(b.N), "origin-gets/op")
 }
-
-func BenchmarkRemotePrefetchAdaptive(b *testing.B) { benchmarkRemotePrefetch(b, 0) }
-func BenchmarkRemotePrefetchDepth1(b *testing.B)   { benchmarkRemotePrefetch(b, 1) }

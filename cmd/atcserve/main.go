@@ -5,8 +5,8 @@
 // memory with -mem, or an http(s) URL of an archive in object storage)
 // is registered under its base name and served through a pool of
 // pre-opened Readers, so concurrent range requests never share decoder
-// state while sharing one open store — and, by default, one shared chunk
-// cache — per trace.
+// state while sharing one open store per trace — and, by default, one
+// process-wide chunk cache.
 //
 // Usage:
 //
@@ -41,9 +41,9 @@
 // Every trace decodes through one process-wide chunk cache with a byte
 // budget (-cache-bytes, default 256 MiB of decoded addresses): hot chunks
 // stay resident across traces under one memory cap instead of a per-trace
-// chunk count. -cache-bytes 0 falls back to the legacy per-trace
-// count-bounded cache (-shared-cache). Per-trace metric series are capped
-// at -metric-traces names; later traces aggregate under trace="other".
+// chunk count. -cache-bytes 0 gives each pooled reader its own private
+// cache of 8 chunks instead. Per-trace metric series are capped at
+// -metric-traces names; later traces aggregate under trace="other".
 //
 // With -debug-addr set, a second listener serves operational diagnostics:
 // /metrics (Prometheus text format), /debug/obs (JSON metrics dump) and
@@ -92,6 +92,7 @@ import (
 	"time"
 
 	"atc"
+	"atc/internal/core"
 	"atc/internal/obs"
 	"atc/internal/store"
 	"atc/internal/trace"
@@ -112,9 +113,7 @@ func main() {
 	addr := flag.String("addr", ":8405", "listen address")
 	debugAddr := flag.String("debug-addr", "", "diagnostics listen address serving /metrics, /debug/obs and /debug/pprof (disabled when empty)")
 	readers := flag.Int("readers", 4, "pooled readers per trace (max concurrent range decodes)")
-	cache := flag.Int("cache", 0, "private decompressed-chunk cache size per reader (default 8; only used when -cache-bytes and -shared-cache are 0)")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "process-wide chunk cache budget in decoded bytes, shared by every trace (0 falls back to -shared-cache)")
-	sharedCache := flag.Int("shared-cache", 64, "per-trace chunk cache shared by all pooled readers, in chunks; only used when -cache-bytes is 0 (0 reverts to private per-reader caches)")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20, "process-wide chunk cache budget in decoded bytes, shared by every trace (0 gives each pooled reader a private 8-chunk cache)")
 	metricTraces := flag.Int("metric-traces", 100, "per-trace labeled metric series cap: counters for traces beyond it collapse into trace=\"other\"")
 	mem := flag.Bool("mem", false, "load .atc archives fully into memory and serve from RAM")
 	maxRange := flag.Int64("max-range", 16<<20, "largest [from, to) window served per request, in addresses")
@@ -139,13 +138,11 @@ func main() {
 	}
 
 	cfg := poolConfig{
-		mem:         *mem,
-		readers:     *readers,
-		cache:       *cache,
-		sharedCache: *sharedCache,
-		remote:      store.RemoteOptions{BlockSize: *remoteBlock, CacheBlocks: *remoteBlocks},
-		reg:         obs.Default(),
-		registrar:   newTraceRegistrar(obs.Default(), *metricTraces),
+		mem:       *mem,
+		readers:   *readers,
+		remote:    store.RemoteOptions{BlockSize: *remoteBlock, CacheBlocks: *remoteBlocks},
+		reg:       obs.Default(),
+		registrar: newTraceRegistrar(obs.Default(), *metricTraces),
 	}
 	if *cacheBytes > 0 {
 		cfg.sharedBytes = atc.NewSharedChunkCacheBytes(*cacheBytes)
@@ -259,14 +256,12 @@ type traceMeta struct {
 	// pooled readers since startup (chunk-cache hits do not count) — the
 	// serving tier's cache-effectiveness observable: requests served
 	// from pooled readers' chunk caches leave it unchanged. With the
-	// shared chunk cache on (the default), it counts each hot chunk once
-	// per process, not once per reader.
+	// process-wide chunk cache on (the default), it counts each hot chunk
+	// once per process, not once per reader.
 	ChunkReads int64 `json:"chunkReads"`
-	// SharedCacheHits/SharedCacheLoads report the trace's shared chunk
-	// cache traffic — its view of the byte-budgeted process cache, or the
-	// legacy count-bounded per-trace cache (absent when both are off).
-	// SharedCacheBytes is the trace's resident decoded bytes in the
-	// byte-budgeted cache (absent for the count-bounded kind).
+	// SharedCacheHits/SharedCacheLoads report the trace's traffic through
+	// the process-wide chunk cache, and SharedCacheBytes its resident
+	// decoded bytes there (all absent with -cache-bytes 0).
 	SharedCacheHits  int64 `json:"sharedCacheHits,omitempty"`
 	SharedCacheLoads int64 `json:"sharedCacheLoads,omitempty"`
 	SharedCacheBytes int64 `json:"sharedCacheBytes,omitempty"`
@@ -297,12 +292,9 @@ type tracePool struct {
 	// all references every pooled reader for metrics: Reader.ChunkReads
 	// is an atomic counter, safe to sum while a reader is borrowed.
 	all []*atc.Reader
-	// shared is the trace's legacy count-bounded cross-reader chunk cache
-	// (-shared-cache, only when -cache-bytes is 0); sharedBytes the
-	// trace's view of the process-wide byte-budgeted cache (-cache-bytes,
-	// the default); remote the backing remote store (nil for local
-	// traces). All feed live counters into metaNow.
-	shared      *atc.SharedChunkCache
+	// sharedBytes is the trace's view of the process-wide chunk cache
+	// (nil with -cache-bytes 0); remote the backing remote store (nil for
+	// local traces). Both feed live counters into metaNow.
 	sharedBytes *atc.TraceChunkCache
 	remote      *store.RemoteStore
 	// etag is the trace's strong HTTP validator, derived from the
@@ -325,21 +317,14 @@ func (p *tracePool) chunkReads() int64 {
 type poolConfig struct {
 	mem     bool
 	readers int
-	// cache sizes the private per-reader chunk cache (addresses the
-	// historical -cache flag); it only applies when sharedCache is 0.
-	cache int
-	// sharedCache sizes the per-trace chunk cache shared by every pooled
-	// reader, in chunks; 0 disables sharing. Ignored when sharedBytes is
-	// set.
-	sharedCache int
 	// sharedBytes, when set, is the process-wide byte-budgeted chunk
 	// cache every trace shares (-cache-bytes): each pool decodes through
 	// its ForTrace view, so one memory cap covers all pooled readers of
-	// all traces.
+	// all traces. When nil every reader keeps its own private cache.
 	sharedBytes *atc.SharedChunkCacheBytes
 	remote      store.RemoteOptions
 	// reg, when set, receives per-trace labeled func metrics (chunk reads,
-	// shared-cache and remote counters) at open. Nil in tests that build
+	// chunk-cache and remote counters) at open. Nil in tests that build
 	// pools directly.
 	reg *obs.Registry
 	// registrar, when set, routes that registration through the
@@ -350,8 +335,8 @@ type poolConfig struct {
 
 // openTrace opens the store once (directory, archive, archive bytes in
 // RAM, or a remote archive URL) and pre-opens the pooled readers against
-// it, failing fast on a trace that does not decode. With sharedCache > 0
-// every reader decodes through one SharedChunkCache, so a hot chunk
+// it, failing fast on a trace that does not decode. With sharedBytes set
+// every reader decodes through the trace's view of it, so a hot chunk
 // decompresses once per process rather than once per reader.
 func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	n := cfg.readers
@@ -403,15 +388,11 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	readerOpts := []atc.ReadOption{
 		// Readahead is disabled: a range server decodes exactly the chunks
 		// a request asks for, and prefetch past the window would be waste.
-		atc.WithReadStore(st), atc.WithReadahead(-1), atc.WithChunkCache(cfg.cache),
+		atc.WithReadStore(st), atc.WithReadahead(-1),
 	}
-	switch {
-	case cfg.sharedBytes != nil:
+	if cfg.sharedBytes != nil {
 		p.sharedBytes = cfg.sharedBytes.ForTrace(name)
 		readerOpts = append(readerOpts, atc.WithSharedChunkCache(p.sharedBytes))
-	case cfg.sharedCache > 0:
-		p.shared = atc.NewSharedChunkCache(cfg.sharedCache)
-		readerOpts = append(readerOpts, atc.WithSharedChunkCache(p.shared))
 	}
 	for i := 0; i < n; i++ {
 		r, err := atc.NewReader(path, readerOpts...)
@@ -452,25 +433,13 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	return p, nil
 }
 
-// poolCacheStats unifies the two shared-cache kinds (count-bounded
-// per-trace, byte-budgeted process-wide view) for /meta and metrics; ok
-// is false with private per-reader caches only.
-type poolCacheStats struct {
-	hits, loads, evictions       int64
-	residentBytes, residentChunk int64
-	ok                           bool
-}
-
-func (p *tracePool) cacheStats() poolCacheStats {
-	switch {
-	case p.sharedBytes != nil:
-		st := p.sharedBytes.Stats()
-		return poolCacheStats{st.Hits, st.Loads, st.Evictions, st.ResidentBytes, st.ResidentChunks, true}
-	case p.shared != nil:
-		st := p.shared.Stats()
-		return poolCacheStats{st.Hits, st.Loads, st.Evictions, 0, int64(st.Resident), true}
+// cacheStats reports the trace's share of the process-wide chunk cache
+// (zero with private per-reader caches).
+func (p *tracePool) cacheStats() core.TraceCacheStats {
+	if p.sharedBytes == nil {
+		return core.TraceCacheStats{}
 	}
-	return poolCacheStats{}
+	return p.sharedBytes.Stats()
 }
 
 // register exposes the pool's live counters as per-trace labeled func
@@ -501,30 +470,27 @@ func registerPoolMetrics(reg *obs.Registry, label string, pools []*tracePool) {
 	reg.CounterFunc("atc_trace_chunk_reads_total",
 		"chunk-blob decompressions across the trace's pooled readers",
 		sum((*tracePool).chunkReads), lbl)
-	anyCache, anyBytes, anyRemote := false, false, false
+	anyCache, anyRemote := false, false
 	for _, p := range pools {
-		anyCache = anyCache || p.shared != nil || p.sharedBytes != nil
-		anyBytes = anyBytes || p.sharedBytes != nil
+		anyCache = anyCache || p.sharedBytes != nil
 		anyRemote = anyRemote || p.remote != nil
 	}
 	if anyCache {
 		reg.CounterFunc("atc_chunk_cache_hits_total",
 			"chunk lookups served from the shared cache or deduplicated onto an in-flight load",
-			sum(func(p *tracePool) int64 { return p.cacheStats().hits }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().Hits }), lbl)
 		reg.CounterFunc("atc_chunk_cache_loads_total",
 			"chunk decompressions through the shared cache (misses)",
-			sum(func(p *tracePool) int64 { return p.cacheStats().loads }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().Loads }), lbl)
 		reg.CounterFunc("atc_chunk_cache_evictions_total",
 			"chunks evicted from the shared cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().evictions }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().Evictions }), lbl)
 		reg.GaugeFunc("atc_chunk_cache_resident_chunks",
 			"chunks currently resident in the shared cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().residentChunk }), lbl)
-	}
-	if anyBytes {
+			sum(func(p *tracePool) int64 { return p.cacheStats().ResidentChunks }), lbl)
 		reg.GaugeFunc("atc_chunk_cache_resident_bytes",
 			"decoded bytes this trace holds in the process-wide byte-budgeted cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().residentBytes }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().ResidentBytes }), lbl)
 	}
 	if anyRemote {
 		reg.CounterFunc("atc_trace_remote_fetches_total",
@@ -862,10 +828,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (p *tracePool) metaNow() traceMeta {
 	m := p.meta
 	m.ChunkReads = p.chunkReads()
-	if cs := p.cacheStats(); cs.ok {
-		m.SharedCacheHits, m.SharedCacheLoads = cs.hits, cs.loads
-		m.SharedCacheBytes = cs.residentBytes
-	}
+	cs := p.cacheStats()
+	m.SharedCacheHits, m.SharedCacheLoads, m.SharedCacheBytes = cs.Hits, cs.Loads, cs.ResidentBytes
 	if p.remote != nil {
 		st := p.remote.ReaderStats()
 		m.RemoteFetches, m.RemoteBytes = st.Fetches, st.BytesFetched

@@ -39,8 +39,9 @@ const (
 	magic = "BSC1"
 	// DefaultBlockSize matches bzip2 -9 (900 KB blocks).
 	DefaultBlockSize = 900 * 1000
-	// MaxBlockSize bounds memory use for hostile streams.
-	MaxBlockSize = 16 << 20
+	// MaxBlockSize bounds memory use for hostile streams. It is the MTF
+	// decoder's output limit, so the two cannot drift apart.
+	MaxBlockSize = mtf.MaxBlockSize
 
 	lenBits = 5 // bits per Huffman code length in the header (max length 20)
 )
@@ -48,8 +49,9 @@ const (
 var (
 	// ErrCorrupt reports a malformed or truncated stream.
 	ErrCorrupt = errors.New("bsc: corrupt stream")
-	// ErrChecksum reports a CRC mismatch on a decompressed block.
-	ErrChecksum = errors.New("bsc: checksum mismatch")
+	// ErrChecksum reports a CRC mismatch on a decompressed block. It
+	// wraps ErrCorrupt: a block that fails its checksum is corruption.
+	ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 )
 
 // Writer compresses data written to it and emits the compressed stream to
@@ -158,7 +160,12 @@ func (w *Writer) Close() error {
 // compressBlock writes one framed compressed block.
 func compressBlock(w io.Writer, block []byte) error {
 	transformed, primary := bwt.Transform(block)
-	syms := mtf.Encode(transformed)
+	return writeBlock(w, uint32(len(block)), crc32.ChecksumIEEE(block), uint32(primary), mtf.Encode(transformed))
+}
+
+// writeBlock frames one block: the header fields, then the Huffman code
+// lengths and the Huffman-coded symbol stream syms (EOB included).
+func writeBlock(w io.Writer, origLen, crc, primary uint32, syms []uint16) error {
 	freqs := make([]int64, mtf.NumSyms)
 	for _, s := range syms {
 		freqs[s]++
@@ -174,9 +181,9 @@ func compressBlock(w io.Writer, block []byte) error {
 
 	var hdr [13]byte
 	hdr[0] = 1
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(block)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(block))
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(primary))
+	binary.LittleEndian.PutUint32(hdr[1:5], origLen)
+	binary.LittleEndian.PutUint32(hdr[5:9], crc)
+	binary.LittleEndian.PutUint32(hdr[9:13], primary)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@ package core
 
 // Tests of the sub-span batched readahead pipeline (DecodeOptions.
 // BatchAddrs): delivery in BatchAddrs-sized batches must be byte-identical
-// to whole-span delivery for every format mode, every store backend and
+// to the synchronous decode for every format mode, every store backend and
 // any batch size, including pathological ones.
 
 import (
@@ -50,11 +50,10 @@ func TestBatchedDeliveryByteIdentical(t *testing.T) {
 		for _, kind := range batchStores {
 			t.Run(m.name+"/"+kind, func(t *testing.T) {
 				path, dec := writeBatchTrace(t, kind, addrs, m.opts)
-				// Reference: whole-span delivery (the pre-batching pipeline).
-				whole := dec
-				whole.Readahead = 2
-				whole.BatchAddrs = -1
-				want := decodeAllWith(t, path, whole)
+				// Reference: the synchronous decode, no pipeline at all.
+				ref := dec
+				ref.Readahead = -1
+				want := decodeAllWith(t, path, ref)
 				if len(want) != len(addrs) {
 					t.Fatalf("reference decode: %d addresses, want %d", len(want), len(addrs))
 				}
@@ -243,9 +242,10 @@ func TestBatchBufferRecycling(t *testing.T) {
 	}
 }
 
-// TestWithBatchAddrsDefault pins the default resolution: unset BatchAddrs
-// becomes DefaultBatchAddrs, clamped to the trace's stride (a batch never
-// spans records, so larger buffers would only be waste).
+// TestWithBatchAddrsDefault pins the default resolution: unset or
+// negative BatchAddrs becomes DefaultBatchAddrs, clamped to the trace's
+// stride (a batch never spans records, so larger buffers would only be
+// waste).
 func TestWithBatchAddrsDefault(t *testing.T) {
 	addrs := rangeTrace()
 	segDir := t.TempDir()
@@ -264,7 +264,7 @@ func TestWithBatchAddrsDefault(t *testing.T) {
 	if _, err := WriteTrace(legacyDir, addrs, rangeModes[1].opts); err != nil { // legacy v1 stream
 		t.Fatal(err)
 	}
-	d, err = Open(legacyDir, DecodeOptions{})
+	d, err = Open(legacyDir, DecodeOptions{BatchAddrs: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,12 @@ import (
 // decoded bytes (len(addrs)*8 per chunk — chunk sizes vary wildly with
 // IntervalLen/SegmentAddrs across traces, so counting entries would not
 // bound memory), eviction is LRU by bytes, and pinned chunks survive
-// eviction pressure. Like SharedChunkCache it is safe for concurrent use
-// and deduplicates concurrent misses of one chunk onto a single load.
+// eviction pressure. It is safe for concurrent use and deduplicates
+// concurrent misses of one chunk onto a single load (singleflight).
 //
 // Readers never see this type directly: ForTrace returns a lightweight
-// per-trace view implementing the ChunkCache (and singleflight loader)
-// contract, injected per Reader exactly like a SharedChunkCache.
+// per-trace view, injected per Reader through DecodeOptions.ChunkCache.
+// A Reader given none builds a private instance sized to its trace.
 type SharedChunkCacheBytes struct {
 	budget int64
 
@@ -34,6 +34,14 @@ type SharedChunkCacheBytes struct {
 	hits      atomic.Int64
 	loads     atomic.Int64
 	evictions atomic.Int64
+}
+
+// chunkFlight is one in-progress chunk load; done closes once addrs/err
+// are set.
+type chunkFlight struct {
+	done  chan struct{}
+	addrs []uint64
+	err   error
 }
 
 // byteCacheKey identifies one chunk of one trace.
@@ -72,7 +80,7 @@ func NewSharedChunkCacheBytes(budget int64) *SharedChunkCacheBytes {
 // Budget reports the configured byte budget.
 func (c *SharedChunkCacheBytes) Budget() int64 { return c.budget }
 
-// ForTrace returns the cache's view for one trace: a ChunkCache (with
+// ForTrace returns the cache's view for one trace: a chunk cache (with
 // singleflight GetOrLoad) whose chunk IDs are namespaced by the trace
 // name, so many traces share the one budget without ID collisions.
 // Repeated calls with one name return the same view.
@@ -171,9 +179,10 @@ func (c *SharedChunkCacheBytes) Register(r *obs.Registry, labels ...obs.Label) {
 		func() int64 { return c.Stats().ResidentBytes }, labels...)
 }
 
-// TraceChunkCache is one trace's view of a SharedChunkCacheBytes. It
-// implements the ChunkCache contract plus singleflight GetOrLoad, so it
-// injects into a Reader exactly like a SharedChunkCache, and carries the
+// TraceChunkCache is one trace's view of a SharedChunkCacheBytes: the
+// chunk cache a Decompressor decodes through (DecodeOptions.ChunkCache).
+// Cached slices are shared, immutable data — neither the cache nor its
+// callers may mutate a slice after it is inserted. The view carries the
 // trace's own hit/load/eviction/resident counters for per-trace metrics.
 type TraceChunkCache struct {
 	c     *SharedChunkCacheBytes

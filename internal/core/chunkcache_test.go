@@ -1,124 +1,18 @@
 package core
 
+// Tests of how Decompressors decode through the chunk cache: the private
+// cache built at Open, a SharedChunkCacheBytes view shared by a pool, and
+// the process-wide hit counter.
+
 import (
 	"errors"
 	"sync"
 	"testing"
 )
 
-func TestFIFOChunkCache(t *testing.T) {
-	c := newFIFOChunkCache(2)
-	c.Put(1, []uint64{1})
-	c.Put(2, []uint64{2})
-	c.Put(1, []uint64{9}) // duplicate Put must not double-insert or evict
-	if a, ok := c.Get(1); !ok || a[0] != 1 {
-		t.Fatalf("Get(1) = %v, %v", a, ok)
-	}
-	c.Put(3, []uint64{3}) // evicts 1 — oldest insertion, even though just read
-	if _, ok := c.Get(1); ok {
-		t.Fatal("FIFO kept the read-touched entry; eviction must be insertion-ordered")
-	}
-	if _, ok := c.Get(2); !ok {
-		t.Fatal("entry 2 missing")
-	}
-	if _, ok := c.Get(3); !ok {
-		t.Fatal("entry 3 missing")
-	}
-}
-
-func TestSharedChunkCacheLRU(t *testing.T) {
-	c := NewSharedChunkCache(2)
-	c.Put(1, []uint64{1})
-	c.Put(2, []uint64{2})
-	c.Get(1)              // touch: 2 is now least recently used
-	c.Put(3, []uint64{3}) // evicts 2
-	if _, ok := c.Get(2); ok {
-		t.Fatal("LRU evicted the recently used entry instead of the stale one")
-	}
-	if a, ok := c.Get(1); !ok || a[0] != 1 {
-		t.Fatalf("Get(1) = %v, %v", a, ok)
-	}
-	st := c.Stats()
-	if st.Resident != 2 {
-		t.Fatalf("Resident = %d, want 2", st.Resident)
-	}
-	if NewSharedChunkCache(0).cap != 1 {
-		t.Fatal("capacity floor not applied")
-	}
-}
-
-func TestSharedChunkCacheSingleflight(t *testing.T) {
-	c := NewSharedChunkCache(8)
-	var mu sync.Mutex
-	loads := 0
-	gate := make(chan struct{})
-	const readers = 16
-	var wg sync.WaitGroup
-	results := make([][]uint64, readers)
-	for i := 0; i < readers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], _ = c.GetOrLoad(7, true, func() ([]uint64, error) {
-				mu.Lock()
-				loads++
-				mu.Unlock()
-				<-gate
-				return []uint64{42}, nil
-			})
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if loads != 1 {
-		t.Fatalf("load ran %d times, want 1 (singleflight)", loads)
-	}
-	for i, r := range results {
-		if len(r) != 1 || r[0] != 42 {
-			t.Fatalf("reader %d got %v", i, r)
-		}
-	}
-	st := c.Stats()
-	if st.Loads != 1 || st.Hits != readers-1 {
-		t.Fatalf("stats = %+v, want 1 load and %d hits", st, readers-1)
-	}
-}
-
-func TestSharedChunkCacheLoadError(t *testing.T) {
-	c := NewSharedChunkCache(8)
-	boom := errors.New("boom")
-	if _, err := c.GetOrLoad(1, true, func() ([]uint64, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// Failed loads are not cached: the next call retries and can succeed.
-	a, err := c.GetOrLoad(1, true, func() ([]uint64, error) { return []uint64{5}, nil })
-	if err != nil || a[0] != 5 {
-		t.Fatalf("retry after failed load = %v, %v", a, err)
-	}
-}
-
-func TestSharedChunkCacheUnpinnedLoad(t *testing.T) {
-	c := NewSharedChunkCache(8)
-	loads := 0
-	load := func() ([]uint64, error) { loads++; return []uint64{1}, nil }
-	if _, err := c.GetOrLoad(3, false, load); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(3); ok {
-		t.Fatal("unpinned load entered the cache")
-	}
-	if _, err := c.GetOrLoad(3, false, load); err != nil {
-		t.Fatal(err)
-	}
-	if loads != 2 {
-		t.Fatalf("loads = %d, want 2 (unpinned loads bypass insertion)", loads)
-	}
-}
-
-// TestSharedCacheExactlyOncePerPool is the tentpole's core guarantee: a
-// pool of Decompressors sharing one SharedChunkCache and hammering the
-// same hot window decompresses each touched chunk exactly once across the
+// TestSharedCacheExactlyOncePerPool is the shared cache's core guarantee:
+// a pool of Decompressors sharing one trace view and hammering the same
+// hot window decompresses each touched chunk exactly once across the
 // whole pool — under the race detector, with every reader running
 // concurrently.
 func TestSharedCacheExactlyOncePerPool(t *testing.T) {
@@ -127,7 +21,7 @@ func TestSharedCacheExactlyOncePerPool(t *testing.T) {
 	if _, err := WriteTrace(dir, addrs, Options{Mode: Lossless, BufferAddrs: 200, SegmentAddrs: 1500}); err != nil {
 		t.Fatal(err)
 	}
-	shared := NewSharedChunkCache(32)
+	shared := NewSharedChunkCacheBytes(32 * 1500 * 8).ForTrace("t")
 	const readers = 8
 	pool := make([]*Decompressor, readers)
 	for i := range pool {
@@ -179,5 +73,123 @@ func TestSharedCacheExactlyOncePerPool(t *testing.T) {
 	}
 	if st := shared.Stats(); st.Loads != 3 {
 		t.Fatalf("shared cache loads = %d, want 3", st.Loads)
+	}
+}
+
+// windowOfChunks returns the end of the shortest trace prefix [0, end)
+// whose spans are backed by exactly k distinct chunks (imitations share
+// their source chunk), or -1 when the trace has fewer.
+func windowOfChunks(d *Decompressor, k int) int64 {
+	seen := map[int]bool{}
+	for _, sp := range d.ChunkIndex() {
+		seen[sp.ChunkID] = true
+		if len(seen) == k {
+			return sp.End
+		}
+	}
+	return -1
+}
+
+// TestPrivateChunkCacheHoldsChunkCacheSize pins the private default:
+// ChunkCacheSize n keeps n full-stride chunks resident — a second pass
+// over a window of n chunks reads nothing — while a window of n+1 chunks
+// evicts and re-reads.
+func TestPrivateChunkCacheHoldsChunkCacheSize(t *testing.T) {
+	addrs := rangeTrace()
+	cases := []struct {
+		name string
+		opts Options
+		n    int
+	}{
+		{"lossy/1", Options{Mode: Lossy, IntervalLen: 1000, BufferAddrs: 200}, 1},
+		{"lossy/3", Options{Mode: Lossy, IntervalLen: 1000, BufferAddrs: 200}, 3},
+		{"segmented/1", Options{Mode: Lossless, BufferAddrs: 200, SegmentAddrs: 1500}, 1},
+		{"segmented/4", Options{Mode: Lossless, BufferAddrs: 200, SegmentAddrs: 1500}, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := WriteTrace(dir, addrs, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{c.n, c.n + 1} {
+				d, err := Open(dir, DecodeOptions{ChunkCacheSize: c.n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				end := windowOfChunks(d, k)
+				if end < 0 {
+					t.Fatalf("trace has fewer than %d chunks", k)
+				}
+				if _, err := d.DecodeRange(0, end); err != nil {
+					t.Fatal(err)
+				}
+				first := d.ChunkReads()
+				if first != int64(k) {
+					t.Fatalf("first pass over %d chunks read %d", k, first)
+				}
+				if _, err := d.DecodeRange(0, end); err != nil {
+					t.Fatal(err)
+				}
+				reread := d.ChunkReads() - first
+				d.Close()
+				if k == c.n && reread != 0 {
+					t.Fatalf("ChunkCacheSize %d: second pass over %d chunks re-read %d", c.n, k, reread)
+				}
+				if k > c.n && reread == 0 {
+					t.Fatalf("ChunkCacheSize %d: %d chunks all stayed resident, want eviction", c.n, k)
+				}
+			}
+		})
+	}
+}
+
+// TestChunkCacheHitMetric checks that atc_decode_chunk_cache_hits_total
+// counts each cache hit exactly once, on the random-access path and on
+// the readahead pipeline's peek at resident never-imitated chunks alike.
+func TestChunkCacheHitMetric(t *testing.T) {
+	cases := []struct {
+		name  string
+		addrs []uint64
+		opts  Options
+	}{
+		{"lossy", mixedLossyTrace(2000, 2, 4), Options{Mode: Lossy, IntervalLen: 2000, BufferAddrs: 400}},
+		{"segmented", rangeTrace(), Options{Mode: Lossless, BufferAddrs: 200, SegmentAddrs: 1500}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := WriteTrace(dir, c.addrs, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			view := NewSharedChunkCacheBytes(1 << 20).ForTrace("t")
+			d, err := Open(dir, DecodeOptions{ChunkCache: view, Readahead: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			metBefore, hitsBefore := metChunkCacheHits.Value(), view.Stats().Hits
+			// Two range passes pin every chunk; the sequential pass
+			// after them finds never-imitated lossy chunks resident.
+			total := int64(len(c.addrs))
+			for pass := 0; pass < 2; pass++ {
+				if _, err := d.DecodeRange(0, total); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.SeekTo(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.DecodeAll(); err != nil {
+				t.Fatal(err)
+			}
+			hits := view.Stats().Hits - hitsBefore
+			if hits == 0 {
+				t.Fatal("no cache hits over repeated passes")
+			}
+			if got := metChunkCacheHits.Value() - metBefore; got != hits {
+				t.Fatalf("hit metric rose by %d over %d cache hits", got, hits)
+			}
+		})
 	}
 }

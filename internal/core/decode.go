@@ -30,19 +30,20 @@ type DecodeOptions struct {
 	// the ablation of the paper's Figure 4. The decoded trace then reuses
 	// chunks verbatim and understates the trace footprint.
 	IgnoreTranslations bool
-	// ChunkCacheSize bounds the number of decompressed chunks kept in
-	// memory (default 8). Sequential lossy decoding pins imitated chunks
-	// here; random access (Seek/DecodeRange) pins every chunk it touches,
-	// so repeated range reads over a working set this large never re-read
-	// the store. Ignored when ChunkCache is set.
+	// ChunkCacheSize bounds the decompressed chunks kept in memory
+	// (default 8): the private cache holds ChunkCacheSize strides (the
+	// interval length, or the segment length for segmented traces) of
+	// decoded addresses, evicting least recently used. Sequential lossy
+	// decoding pins imitated chunks here; random access (Seek/DecodeRange)
+	// pins every chunk it touches, so repeated range reads over a working
+	// set this large never re-read the store. Ignored when ChunkCache is
+	// set.
 	ChunkCacheSize int
-	// ChunkCache overrides the private per-Decompressor chunk cache
-	// (a bounded FIFO of ChunkCacheSize chunks) with a caller-provided
-	// one — typically a SharedChunkCache shared across a pool of readers
-	// over the same trace, so a hot chunk decompresses once per process
-	// instead of once per reader. A shared cache must be safe for
-	// concurrent use; see ChunkCache's contract.
-	ChunkCache ChunkCache
+	// ChunkCache replaces the private cache with one trace's view of a
+	// caller-provided SharedChunkCacheBytes (ForTrace) — typically shared
+	// by a pool of readers, so a hot chunk decompresses once per process
+	// instead of once per reader.
+	ChunkCache *TraceChunkCache
 	// Readahead bounds the number of decoded batches a background
 	// pipeline decompresses ahead of Decode, overlapping back-end
 	// decompression with consumption. For lossy and segmented lossless
@@ -60,10 +61,9 @@ type DecodeOptions struct {
 	// IntervalLen/SegmentAddrs: segmented lossless chunks are
 	// stream-decoded (never materialized whole), and imitation
 	// translations write into recycled batch buffers instead of
-	// whole-interval copies. 0 selects DefaultBatchAddrs (64 Ki
-	// addresses, 512 KB per batch); negative restores whole-span
-	// delivery — one interval or segment per batch, the pre-batching
-	// pipeline. The decoded stream is identical for every value.
+	// whole-interval copies. Zero or negative selects DefaultBatchAddrs
+	// (64 Ki addresses, 512 KB per batch). The decoded stream is
+	// identical for every value.
 	BatchAddrs int
 	// Store overrides the blob container the trace is read from; when nil
 	// the path passed to Open is inspected — a regular file opens as a
@@ -84,8 +84,7 @@ const DefaultReadahead = 2
 const DefaultBatchAddrs = 1 << 16
 
 // aheadBatch is one readahead unit — up to BatchAddrs decoded addresses
-// (whole spans when batching is disabled) — or the error that ended
-// production.
+// — or the error that ended production.
 type aheadBatch struct {
 	addrs []uint64
 	// buf is the recyclable backing buffer of addrs, nil when addrs
@@ -181,13 +180,9 @@ type Decompressor struct {
 	// nil otherwise.
 	intervalFree chan []uint64
 
-	// cache holds decompressed chunks. With the default private FIFO it is
-	// only touched from the goroutine that owns decoding (the dispatcher
-	// when readahead runs); a caller-provided shared cache is concurrency-
-	// safe by contract. loader is the cache's optional singleflight
-	// extension, captured once at Open.
-	cache  ChunkCache
-	loader chunkLoader
+	// cache holds decompressed chunks: the caller's shared view, or a
+	// private one built at Open. Either is safe for concurrent use.
+	cache *TraceChunkCache
 
 	// statefulBackend is backend's optional pooled-reader extension,
 	// captured once at Open. When set, readerFree recycles complete
@@ -235,7 +230,7 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 	if opts.Readahead == 0 {
 		opts.Readahead = DefaultReadahead
 	}
-	if opts.BatchAddrs == 0 {
+	if opts.BatchAddrs <= 0 {
 		opts.BatchAddrs = DefaultBatchAddrs
 	}
 	st := opts.Store
@@ -264,12 +259,7 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 			st = store.OpenDir(path)
 		}
 	}
-	cache := opts.ChunkCache
-	if cache == nil {
-		cache = newFIFOChunkCache(opts.ChunkCacheSize)
-	}
-	d := &Decompressor{st: st, ownStore: ownStore, opts: opts, cache: cache}
-	d.loader, _ = cache.(chunkLoader)
+	d := &Decompressor{st: st, ownStore: ownStore, opts: opts, cache: opts.ChunkCache}
 	closeStore := func() {
 		if ownStore {
 			st.Close()
@@ -317,16 +307,16 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 		closeStore()
 		return nil, err
 	}
+	stride := d.stride()
+	if d.cache == nil {
+		// Every chunk holds at most one stride of addresses, so this
+		// budget keeps ChunkCacheSize chunks resident.
+		d.cache = NewSharedChunkCacheBytes(int64(opts.ChunkCacheSize) * stride * 8).ForTrace("")
+	}
 	// A batch never spans records, so a BatchAddrs above the trace's
 	// stride would only oversize the recycled buffers: clamp it.
-	if d.opts.BatchAddrs > 0 && !d.streaming {
-		stride := int64(d.intervalLen)
-		if d.segmented {
-			stride = int64(d.segmentAddrs)
-		}
-		if stride > 0 && int64(d.opts.BatchAddrs) > stride {
-			d.opts.BatchAddrs = int(stride)
-		}
+	if !d.streaming && stride > 0 && int64(d.opts.BatchAddrs) > stride {
+		d.opts.BatchAddrs = int(stride)
 	}
 	if d.streaming {
 		if err := d.openLossless(); err != nil {
@@ -354,10 +344,9 @@ func (d *Decompressor) buildIndex() error {
 		d.index = []span{{start: 0, end: d.total, rec: d.records[0]}}
 		return nil
 	}
-	stride := int64(d.intervalLen)
+	stride := d.stride()
 	what := "interval"
 	if d.segmented {
-		stride = int64(d.segmentAddrs)
 		what = "segment"
 	}
 	n := int64(len(d.records))
@@ -403,6 +392,15 @@ func (d *Decompressor) buildIndex() error {
 	return nil
 }
 
+// stride is the number of addresses every record but the last covers:
+// the segment length for segmented traces, the interval length otherwise.
+func (d *Decompressor) stride() int64 {
+	if d.segmented {
+		return int64(d.segmentAddrs)
+	}
+	return int64(d.intervalLen)
+}
+
 // spanIndex returns the position of the index entry covering addr — the
 // first span whose end exceeds it (len(index) when addr is at or past the
 // end of the trace).
@@ -417,7 +415,7 @@ func (d *Decompressor) spanIndex(addr int64) int {
 func (d *Decompressor) startReadahead(n int) {
 	d.ahead = make(chan aheadBatch, n)
 	d.aheadStop = make(chan struct{})
-	if d.batchFree == nil && d.opts.BatchAddrs > 0 {
+	if d.batchFree == nil {
 		// Enough for the ahead channel, the consumer's pending batch, and
 		// every in-flight span task's slot plus working buffer; survives
 		// pipeline restarts, so a seek-heavy consumer allocates its batch
@@ -429,15 +427,10 @@ func (d *Decompressor) startReadahead(n int) {
 	go func() {
 		defer d.aheadWG.Done()
 		defer close(d.ahead)
-		switch {
-		case d.streaming:
+		if d.streaming {
 			d.produceStream(start)
-		case d.opts.BatchAddrs > 0:
+		} else {
 			d.produceSpansBatched(n, start)
-		case d.segmented:
-			d.produceSpansConcurrent(n, start)
-		default:
-			d.produceSpans(start)
 		}
 	}()
 }
@@ -517,26 +510,13 @@ func (d *Decompressor) produceStream(start int64) {
 		d.deliver(aheadBatch{err: err})
 		return
 	}
-	recycle := d.opts.BatchAddrs > 0
 	for {
-		var buf []uint64
-		if recycle {
-			buf = d.batchBuf()
-			buf = buf[:cap(buf)]
-		} else {
-			buf = make([]uint64, DefaultBatchAddrs)
-		}
-		n, rerr := d.losslessDec.ReadSlice(buf)
+		buf := d.batchBuf()
+		n, rerr := d.losslessDec.ReadSlice(buf[:cap(buf)])
 		buf = buf[:n]
 		d.streamPos += int64(n)
-		if n > 0 {
-			b := aheadBatch{addrs: buf}
-			if recycle {
-				b.buf = buf
-			}
-			if !d.deliver(b) {
-				return
-			}
+		if n > 0 && !d.deliver(aheadBatch{addrs: buf, buf: buf}) {
+			return
 		}
 		if rerr != nil {
 			if rerr != io.EOF {
@@ -547,89 +527,8 @@ func (d *Decompressor) produceStream(start int64) {
 	}
 }
 
-// produceSpans walks the chunk index from the span covering start,
-// materializing one record per batch (the lossy pipeline; the first span
-// is trimmed to start mid-record after a seek).
-func (d *Decompressor) produceSpans(start int64) {
-	for i := d.spanIndex(start); i < len(d.index); i++ {
-		sp := d.index[i]
-		addrs, err := d.materializeSpan(sp, d.mode == Lossy)
-		if err != nil {
-			d.deliver(aheadBatch{err: err})
-			return
-		}
-		if start > sp.start {
-			addrs = addrs[start-sp.start:]
-		}
-		if len(addrs) > 0 && !d.deliver(aheadBatch{addrs: addrs}) {
-			return
-		}
-	}
-}
-
-// segResult carries one decoded segment from a decode goroutine to the
-// in-order delivery loop.
-type segResult struct {
-	sp    span
-	addrs []uint64
-	err   error
-}
-
-// produceSpansConcurrent walks the chunk index from the span covering
-// start with up to par segments decompressing concurrently while delivery
-// stays strictly in trace order: a dispatcher assigns every span a
-// buffered result slot plus a goroutine, and the loop below consumes the
-// slots in index order. The slots channel's capacity bounds how many
-// segments are decoded (and held in memory) ahead of consumption.
-func (d *Decompressor) produceSpansConcurrent(par int, start int64) {
-	if par < 1 {
-		par = 1
-	}
-	slots := make(chan chan segResult, par)
-	var decodes sync.WaitGroup
-	d.aheadWG.Add(1)
-	go func() {
-		defer d.aheadWG.Done()
-		defer close(slots)
-		// Every Add below happens on this goroutine, so this Wait cannot
-		// race with them; and every spawned decode finishes (its slot has
-		// capacity 1), so waiting cannot block even when delivery stops
-		// early. stopReadahead blocks on aheadWG, so no decode outlives it.
-		defer decodes.Wait()
-		for i := d.spanIndex(start); i < len(d.index); i++ {
-			sp := d.index[i]
-			slot := make(chan segResult, 1)
-			select {
-			case slots <- slot:
-			case <-d.aheadStop:
-				return
-			}
-			decodes.Add(1)
-			go func(sp span) {
-				defer decodes.Done()
-				addrs, err := d.readSpan(sp)
-				slot <- segResult{sp: sp, addrs: addrs, err: err}
-			}(sp)
-		}
-	}()
-	for slot := range slots {
-		res := <-slot
-		if res.err != nil {
-			d.deliver(aheadBatch{err: res.err})
-			return
-		}
-		addrs := res.addrs
-		if start > res.sp.start {
-			addrs = addrs[start-res.sp.start:]
-		}
-		if len(addrs) > 0 && !d.deliver(aheadBatch{addrs: addrs}) {
-			return
-		}
-	}
-}
-
-// produceSpansBatched is the sub-span batching producer for lossy and
-// segmented traces: every span streams through its own bounded slot of
+// produceSpansBatched is the readahead producer for lossy and segmented
+// traces: every span streams through its own bounded slot of
 // BatchAddrs-sized batches, up to par spans decoding concurrently, with
 // delivery strictly in trace order. Peak buffered memory is a multiple
 // of BatchAddrs — segments are stream-decoded (never materialized whole)
@@ -666,7 +565,6 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 				if cached, ok := d.cache.Get(sp.rec.chunkID); ok {
 					// Random access may have pinned even a never-imitated
 					// chunk; slicing the resident copy beats re-decoding.
-					metChunkCacheHits.Inc()
 					if tr := d.traceRec; tr != nil {
 						tr.CacheHit()
 					}
@@ -1418,21 +1316,6 @@ func (d *Decompressor) materializeSpan(sp span, pin bool) ([]uint64, error) {
 	return addrs, nil
 }
 
-// readSpan is materializeSpan's cache-free twin for the concurrent
-// segmented fan-out: it touches only immutable Decompressor state, so
-// decode goroutines call it in parallel.
-func (d *Decompressor) readSpan(sp span) ([]uint64, error) {
-	addrs, err := d.readChunkFile(sp.rec.chunkID)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(addrs)) != sp.end-sp.start {
-		return nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-			ErrCorrupt, sp.rec.chunkID, len(addrs), sp.end-sp.start)
-	}
-	return addrs, nil
-}
-
 // intervalBuf takes a recycled imitation-interval buffer of length n, or
 // allocates a fresh one. A recycled buffer too small for n is dropped —
 // intervals of one trace share a length, so in practice the pool is
@@ -1586,12 +1469,9 @@ type depletedReader struct{}
 
 func (depletedReader) Read([]byte) (int, error) { return 0, io.EOF }
 
-// readChunkFile decompresses one chunk blob into addresses. It touches
-// only immutable Decompressor state (st, backend), the atomic read
-// counter and the concurrency-safe reader pool, so segmented-lossless
-// decode goroutines call it concurrently: each holds its own Blob, and
-// an archive store serves them from one shared io.ReaderAt with no
-// per-chunk open(2).
+// readChunkFile decompresses one chunk blob into addresses (the cache's
+// load on a miss). Each call holds its own Blob; an archive store serves
+// them from one shared io.ReaderAt with no per-chunk open(2).
 func (d *Decompressor) readChunkFile(id int) ([]uint64, error) {
 	d.chunkReads.Add(1)
 	metChunkLoads.Inc()
@@ -1621,46 +1501,27 @@ func (d *Decompressor) readChunkFile(id int) ([]uint64, error) {
 	return addrs, nil
 }
 
-// loadChunk returns the decoded addresses of a chunk, consulting the
-// cache. pin keeps a freshly read chunk resident (subject to the cache's
-// eviction policy): the sequential lossy pipeline pins chunks so
-// imitations avoid re-reading them, and random access pins everything it
-// touches so a hot range working set decompresses once. When the cache
-// supports singleflight loads (a shared cache does), the whole
-// miss-load-insert sequence goes through it so concurrent readers of one
-// chunk trigger a single decompression.
+// loadChunk returns the decoded addresses of a chunk through the cache.
+// pin keeps a freshly read chunk resident (subject to eviction): the
+// sequential lossy pipeline pins chunks so imitations avoid re-reading
+// them, and random access pins everything it touches so a hot range
+// working set decompresses once. Concurrent readers of one chunk share a
+// single decompression (the cache's singleflight load).
 func (d *Decompressor) loadChunk(id int, pin bool) ([]uint64, error) {
-	if d.loader != nil {
-		loaded := false
-		addrs, err := d.loader.GetOrLoad(id, pin, func() ([]uint64, error) {
-			loaded = true
-			return d.readChunkFile(id)
-		})
-		// Served without invoking our load — a cache (or in-flight
-		// dedup) hit from this request's point of view. The shared
-		// cache bumps the process-wide hit counter itself.
-		if err == nil && !loaded {
-			if tr := d.traceRec; tr != nil {
-				tr.CacheHit()
-			}
-		}
-		return addrs, err
-	}
-	if addrs, ok := d.cache.Get(id); ok {
-		metChunkCacheHits.Inc()
+	loaded := false
+	addrs, err := d.cache.GetOrLoad(id, pin, func() ([]uint64, error) {
+		loaded = true
+		return d.readChunkFile(id)
+	})
+	// Served without invoking our load — a cache (or in-flight dedup)
+	// hit from this request's point of view. The cache bumps the
+	// process-wide hit counter itself.
+	if err == nil && !loaded {
 		if tr := d.traceRec; tr != nil {
 			tr.CacheHit()
 		}
-		return addrs, nil
 	}
-	addrs, err := d.readChunkFile(id)
-	if err != nil {
-		return nil, err
-	}
-	if pin {
-		d.cache.Put(id, addrs)
-	}
-	return addrs, nil
+	return addrs, err
 }
 
 // Close stops the readahead pipeline (if any) and releases open blobs,

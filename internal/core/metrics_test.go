@@ -73,16 +73,17 @@ func TestDecodeTraceStages(t *testing.T) {
 }
 
 // TestSharedCacheRegister checks the thin-view func metrics a shared
-// cache exposes on a registry.
+// cache exposes on a registry: its budget and resident decoded bytes.
 func TestSharedCacheRegister(t *testing.T) {
-	c := NewSharedChunkCache(1)
-	c.Put(1, []uint64{1})
-	c.Get(1)
-	c.Put(2, []uint64{2}) // evicts 1
+	c := NewSharedChunkCacheBytes(16)
+	v := c.ForTrace("t")
+	v.Put(1, []uint64{1})
+	v.Get(1)
+	v.Put(2, []uint64{2, 2}) // evicts 1
 	r := obs.NewRegistry()
-	c.Register(r, obs.Label{Key: "trace", Value: "unit"})
+	c.Register(r, obs.Label{Key: "pool", Value: "unit"})
 	st := c.Stats()
-	if st.Hits != 1 || st.Evictions != 1 || st.Resident != 1 {
+	if st.Hits != 1 || st.Evictions != 1 || st.ResidentChunks != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	var sb strings.Builder
@@ -90,9 +91,8 @@ func TestSharedCacheRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`atc_chunk_cache_hits_total{trace="unit"} 1`,
-		`atc_chunk_cache_evictions_total{trace="unit"} 1`,
-		`atc_chunk_cache_resident_chunks{trace="unit"} 1`,
+		`atc_chunk_cache_budget_bytes{pool="unit"} 16`,
+		`atc_chunk_cache_bytes{pool="unit"} 16`,
 	} {
 		if !strings.Contains(sb.String(), want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())

@@ -26,6 +26,11 @@ const (
 	RunB    = 1
 	EOB     = 257
 	NumSyms = 258 // alphabet size for the entropy coder
+
+	// MaxBlockSize is the largest output DecodeInto reconstructs; a
+	// symbol stream whose zero runs would grow past it is corrupt. The
+	// bsc block limit is defined from it.
+	MaxBlockSize = 16 << 20
 )
 
 var errCorrupt = errors.New("mtf: corrupt symbol stream")
@@ -88,7 +93,9 @@ func Decode(syms []uint16) ([]byte, int, error) {
 // caller holding a reusable buffer — the bsc Reader recycling its block
 // working state — decodes without allocating once dst has grown to the
 // workload's block size. The returned slice shares dst's storage unless
-// growth forced a reallocation.
+// growth forced a reallocation. A zero run that would take the output
+// past MaxBlockSize is rejected before anything is appended, so a short
+// hostile stream cannot demand an unbounded allocation.
 func DecodeInto(dst []byte, syms []uint16) ([]byte, int, error) {
 	var order [256]byte
 	for i := range order {
@@ -102,14 +109,16 @@ func DecodeInto(dst []byte, syms []uint16) ([]byte, int, error) {
 		case s == EOB:
 			return out, i + 1, nil
 		case s == RunA || s == RunB:
-			// Collect the whole bijective base-2 run.
+			// Collect the whole bijective base-2 run. Digit k adds at
+			// least 1<<k, so the bound check fails within
+			// log2(MaxBlockSize)+1 digits — long before shift could
+			// overflow.
 			run := 0
 			shift := uint(0)
 			for i < len(syms) && (syms[i] == RunA || syms[i] == RunB) {
-				if syms[i] == RunA {
-					run += 1 << shift
-				} else {
-					run += 2 << shift
+				run += int(syms[i]+1) << shift // RunA weighs 1<<k, RunB 2<<k
+				if run > MaxBlockSize-len(out) {
+					return nil, 0, fmt.Errorf("%w: zero run past %d bytes", errCorrupt, MaxBlockSize)
 				}
 				shift++
 				i++

@@ -2,6 +2,8 @@ package mtf
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +152,62 @@ func BenchmarkEncode(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Encode(data)
+	}
+}
+
+// runSyms returns the bijective base-2 RUNA/RUNB digits of a zero run of
+// length r, as Encode emits them.
+func runSyms(r int) []uint16 {
+	var syms []uint16
+	for r > 0 {
+		if r&1 == 1 {
+			syms = append(syms, RunA)
+			r = (r - 1) / 2
+		} else {
+			syms = append(syms, RunB)
+			r = (r - 2) / 2
+		}
+	}
+	return syms
+}
+
+// TestDecodeRejectsHugeRun is the untrusted-input OOM regression: a
+// stream that is one long RUNA/RUNB run (here 80 digits, a run length
+// past 2^80, overflowing int) used to append until the process died. It
+// must fail as corrupt while allocating next to nothing.
+func TestDecodeRejectsHugeRun(t *testing.T) {
+	syms := make([]uint16, 80, 81)
+	for i := range syms {
+		syms[i] = RunB
+	}
+	syms = append(syms, EOB)
+	inputBytes := uint64(len(syms) * 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeInto(nil, syms)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*inputBytes {
+		t.Fatalf("rejecting a %d-byte stream allocated %d bytes", inputBytes, alloc)
+	}
+}
+
+// TestDecodeRunLimit pins the bound itself: output of exactly
+// MaxBlockSize decodes, one byte more — from a longer run, or from a run
+// after other output — is corrupt.
+func TestDecodeRunLimit(t *testing.T) {
+	out, _, err := Decode(append(runSyms(MaxBlockSize), EOB))
+	if err != nil || len(out) != MaxBlockSize {
+		t.Fatalf("run of MaxBlockSize: %d bytes, %v", len(out), err)
+	}
+	for name, syms := range map[string][]uint16{
+		"long run":         append(runSyms(MaxBlockSize+1), EOB),
+		"run after output": append(append([]uint16{3}, runSyms(MaxBlockSize)...), EOB),
+	} {
+		if _, _, err := Decode(syms); !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: err = %v, want errCorrupt", name, err)
+		}
 	}
 }

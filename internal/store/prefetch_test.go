@@ -9,12 +9,12 @@ import (
 	"time"
 )
 
-// newPrefetchReader builds a reader with prefetch enabled (the helper
-// shared with the demand-fetch tests disables it).
+// newPrefetchReader builds a reader with OpenRemote's default readahead
+// cap (the helper shared with the demand-fetch tests leaves it at 0: off).
 func newPrefetchReader(t *testing.T, h *rangeHost, blockSize, cacheBlocks int) *RangeReaderAt {
 	t.Helper()
 	ra, _ := newRemoteReader(t, h, blockSize, cacheBlocks, 0)
-	ra.noPrefetch = false
+	ra.maxPrefetch = DefaultRemoteMaxPrefetch
 	return ra
 }
 
@@ -178,7 +178,7 @@ func TestPrefetchStopsAtEOF(t *testing.T) {
 func TestPrefetchDisabled(t *testing.T) {
 	data := testObject(8 << 10)
 	h := &rangeHost{data: data}
-	ra, _ := newRemoteReader(t, h, 1024, 64, 0) // helper sets noPrefetch
+	ra, _ := newRemoteReader(t, h, 1024, 64, 0) // maxPrefetch 0: readahead off
 
 	buf := make([]byte, 1024)
 	for b := int64(0); b < 4; b++ {
@@ -270,7 +270,7 @@ func TestPrefetchFixedDepthCap(t *testing.T) {
 	data := testObject(16 << 10)
 	h := &rangeHost{data: data}
 	ra := newPrefetchReader(t, h, 1024, 64)
-	ra.maxPrefetch = 1 // MaxPrefetchBlocks: 1 pins the pre-adaptive behavior
+	ra.maxPrefetch = 1 // a cap of 1 pins the window at one block
 
 	buf := make([]byte, 1024)
 	for block := int64(0); block < 8; block++ {

@@ -72,20 +72,6 @@ type RemoteOptions struct {
 	// Client overrides the HTTP client (timeouts, proxies, auth
 	// round-trippers for private buckets). Default http.DefaultClient.
 	Client *http.Client
-	// DisablePrefetch turns off sequential block readahead: by default a
-	// read continuing the previous read's frontier triggers a background
-	// fetch of the blocks after it, overlapping origin latency with
-	// decompression of the current one. Prefetched blocks land in the
-	// same LRU and are counted hit or wasted (evicted untouched) on
-	// atc_remote_prefetch_total.
-	DisablePrefetch bool
-	// MaxPrefetchBlocks caps the adaptive readahead window: sustained
-	// sequential reads double the number of blocks speculated ahead
-	// (1, 2, 4, …, issued as one coalesced ranged GET) up to this cap,
-	// and any non-sequential read or wasted prefetch halves it. 1 pins
-	// the pre-adaptive fixed depth-1 behavior. Default
-	// DefaultRemoteMaxPrefetch.
-	MaxPrefetchBlocks int
 }
 
 // IsRemoteURL reports whether path names a remote archive — an http(s)
@@ -132,8 +118,7 @@ func OpenRemote(url string, opts RemoteOptions) (*RemoteStore, error) {
 		blockSize:   int64(opts.BlockSize),
 		retries:     opts.Retries,
 		retryDelay:  opts.RetryDelay,
-		noPrefetch:  opts.DisablePrefetch,
-		maxPrefetch: int64(opts.MaxPrefetchBlocks),
+		maxPrefetch: DefaultRemoteMaxPrefetch,
 		cache:       blockLRU{cap: opts.CacheBlocks, m: map[int64]*list.Element{}},
 		inflight:    map[int64]*blockFetch{},
 	}
@@ -207,10 +192,12 @@ type RangeReaderAt struct {
 	blockSize  int64
 	retries    int
 	retryDelay time.Duration
-	noPrefetch bool
-	// maxPrefetch caps the adaptive readahead window in blocks (0 means
-	// DefaultRemoteMaxPrefetch, resolved lazily so zero-value readers in
-	// tests behave like the default).
+	// maxPrefetch caps the adaptive sequential readahead window in blocks
+	// (0 turns readahead off). A read continuing the previous read's
+	// frontier triggers a background fetch of the blocks after it,
+	// overlapping origin latency with decompression of the current one;
+	// prefetched blocks land in the same LRU and are counted hit or
+	// wasted (evicted untouched) on atc_remote_prefetch_total.
 	maxPrefetch int64
 
 	mu       sync.Mutex
@@ -266,14 +253,6 @@ func (r *RangeReaderAt) depthLocked() int64 {
 		return 1
 	}
 	return r.prefDepth
-}
-
-// maxDepth resolves the configured window cap (immutable after open).
-func (r *RangeReaderAt) maxDepth() int64 {
-	if r.maxPrefetch > 0 {
-		return r.maxPrefetch
-	}
-	return DefaultRemoteMaxPrefetch
 }
 
 // Stats reports fetch counters.
@@ -332,11 +311,7 @@ func (r *RangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	var depth int64
 	if sequential {
 		depth = r.depthLocked()
-		if next := depth * 2; next <= r.maxDepth() {
-			r.prefDepth = next
-		} else {
-			r.prefDepth = r.maxDepth()
-		}
+		r.prefDepth = min(depth*2, r.maxPrefetch)
 	} else if r.hasRead {
 		r.prefDepth = r.depthLocked() / 2
 	}
@@ -449,7 +424,7 @@ func (r *RangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // that would have needed it retries from scratch with full error
 // reporting.
 func (r *RangeReaderAt) maybePrefetch(b, depth int64) {
-	if r.noPrefetch || b*r.blockSize >= r.size {
+	if r.maxPrefetch == 0 || b*r.blockSize >= r.size {
 		return
 	}
 	nblocks := (r.size + r.blockSize - 1) / r.blockSize

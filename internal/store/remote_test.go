@@ -134,11 +134,11 @@ func newRemoteReader(t *testing.T, h *rangeHost, blockSize, cacheBlocks, retries
 		blockSize:  int64(blockSize),
 		retries:    retries,
 		retryDelay: time.Millisecond,
-		// These tests pin exact demand-fetch request counts; sequential
-		// readahead has its own tests (prefetch_test.go).
-		noPrefetch: true,
-		cache:      blockLRU{cap: cacheBlocks, m: map[int64]*list.Element{}},
-		inflight:   map[int64]*blockFetch{},
+		// maxPrefetch stays 0 (readahead off): these tests pin exact
+		// demand-fetch request counts; sequential readahead has its own
+		// tests (prefetch_test.go).
+		cache:    blockLRU{cap: cacheBlocks, m: map[int64]*list.Element{}},
+		inflight: map[int64]*blockFetch{},
 	}, srv
 }
 
