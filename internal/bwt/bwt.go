@@ -6,9 +6,12 @@
 // written to the output; its row index (the "primary index") is returned
 // alongside the n transformed bytes. This matches the suffix order produced
 // by a plain suffix array, so the forward transform reduces to suffix
-// sorting, done here with a Manber–Myers prefix-doubling sort that is
-// O(n log n) worst case (no pathological behaviour on repetitive inputs,
-// which BWT blocks frequently are).
+// sorting. The suffix array is built by SA-IS (induced sorting, Nong, Zhang
+// and Chen 2009) in linear time, with no pathological behaviour on the
+// repetitive inputs BWT blocks frequently are. sais.go is a port of the
+// int32-text SA-IS in the Go standard library's index/suffixarray, under
+// the BSD license reproduced in that file; the block's bytes are widened
+// to an int32 text before sorting.
 package bwt
 
 import (
@@ -126,93 +129,16 @@ func InverseInto(dst []byte, next []int32, out []byte, primary int) ([]byte, []i
 	return s, next, nil
 }
 
-// suffixArray computes the suffix array of data using Manber–Myers prefix
-// doubling with counting sorts, O(n log n) time and O(n) auxiliary space.
+// suffixArray computes the suffix array of data with SA-IS (sais.go) in
+// linear time. The bytes are widened to an int32 text over a 256-symbol
+// alphabet, and the 512-entry scratch is room for both the frequency and
+// the bucket table, which sais_32 then need not recount.
 func suffixArray(data []byte) []int32 {
-	n := len(data)
-	sa := make([]int32, n)
-	rank := make([]int32, n)
-	tmp := make([]int32, n)
-	// Initial ranks are the byte values; initial order by counting sort.
-	var cnt [257]int32
-	for _, b := range data {
-		cnt[int(b)+1]++
+	text := make([]int32, len(data))
+	for i, b := range data {
+		text[i] = int32(b)
 	}
-	for c := 1; c < 257; c++ {
-		cnt[c] += cnt[c-1]
-	}
-	for i := 0; i < n; i++ {
-		b := data[i]
-		sa[cnt[b]] = int32(i)
-		cnt[b]++
-	}
-	r := int32(0)
-	for i := 0; i < n; i++ {
-		if i > 0 && data[sa[i]] != data[sa[i-1]] {
-			r++
-		}
-		rank[sa[i]] = r
-	}
-	maxRank := r
-	if int(maxRank) == n-1 {
-		return sa
-	}
-
-	count := make([]int32, n+1)
-	sa2 := make([]int32, n)
-	for k := 1; k < n; k *= 2 {
-		// Sort by second key (rank[i+k], -1 if out of range): suffixes with
-		// i+k >= n have the smallest second key and come first; others are
-		// appended in the order of the previous sa pass restricted to
-		// positions >= k (a counting-sort-free stable pass).
-		w := 0
-		for i := n - k; i < n; i++ {
-			sa2[w] = int32(i)
-			w++
-		}
-		for _, s := range sa {
-			if int(s) >= k {
-				sa2[w] = s - int32(k)
-				w++
-			}
-		}
-		// Stable counting sort of sa2 by first key rank[i].
-		for i := range count[:maxRank+2] {
-			count[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			count[rank[i]+1]++
-		}
-		for c := int32(1); c <= maxRank+1; c++ {
-			count[c] += count[c-1]
-		}
-		for _, s := range sa2 {
-			sa[count[rank[s]]] = s
-			count[rank[s]]++
-		}
-		// Recompute ranks.
-		key := func(i int32) (int32, int32) {
-			second := int32(-1)
-			if int(i)+k < n {
-				second = rank[int(i)+k]
-			}
-			return rank[i], second
-		}
-		r = 0
-		tmp[sa[0]] = 0
-		for i := 1; i < n; i++ {
-			a1, a2 := key(sa[i-1])
-			b1, b2 := key(sa[i])
-			if a1 != b1 || a2 != b2 {
-				r++
-			}
-			tmp[sa[i]] = r
-		}
-		rank, tmp = tmp, rank
-		maxRank = r
-		if int(maxRank) == n-1 {
-			break
-		}
-	}
+	sa := make([]int32, len(data))
+	sais_32(text, 256, sa, make([]int32, 2*256))
 	return sa
 }

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"atc/internal/bytesort"
+	"atc/internal/workload"
 )
 
 func TestTransformKnown(t *testing.T) {
@@ -123,8 +126,63 @@ func TestInverseWrongPrimaryDetected(t *testing.T) {
 	}
 }
 
+// naiveSuffixArray sorts the suffixes by direct comparison.
+func naiveSuffixArray(data []byte) []int32 {
+	sa := make([]int32, len(data))
+	for i := range sa {
+		sa[i] = int32(i)
+	}
+	sort.Slice(sa, func(a, b int) bool {
+		return bytes.Compare(data[sa[a]:], data[sa[b]:]) < 0
+	})
+	return sa
+}
+
+// forceAllocInput is an SLSL… alternation (nearly every other position
+// starts an LMS-substring) whose LMS-substrings are mostly distinct but
+// repeat with period 1500, so SA-IS must recurse and its work space is too
+// small for the subproblem: recurse_32 allocates a fresh tmp.
+func forceAllocInput(n int) []byte {
+	data := make([]byte, n)
+	lo, hi := byte(1), byte(255)
+	for i := 0; i < 1500; i++ {
+		if i%2 == 0 {
+			data[i] = lo
+			continue
+		}
+		data[i] = hi
+		hi--
+		if hi <= lo {
+			lo++
+			hi = 255
+		}
+	}
+	for i := 1500; i < n; i++ {
+		data[i] = data[i-1500]
+	}
+	return data
+}
+
+// bytesortedAddrs returns the bytesorted form (eight byte columns, most
+// significant first) of n L1-filtered addresses of a Table 1 model: the
+// data shape the BWT sees in the lossless back end.
+func bytesortedAddrs(tb testing.TB, model string, n int) []byte {
+	tb.Helper()
+	addrs, err := workload.GenerateFiltered(model, n, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytesort.TransformBuffer(addrs, bytesort.Sorted)
+}
+
+// losslessModels are the four Table 1 models of the lossless benchmark
+// workload: a compiler, a pointer chaser, a streaming kernel and an XML
+// transformer.
+var losslessModels = []string{"403.gcc", "429.mcf", "462.libquantum", "483.xalancbmk"}
+
 func TestSuffixArrayAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var inputs [][]byte
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(200) + 1
 		data := make([]byte, n)
@@ -132,18 +190,77 @@ func TestSuffixArrayAgainstNaive(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(alpha))
 		}
+		inputs = append(inputs, data)
+	}
+	// Periodic and constant inputs repeat their LMS-substrings
+	// (maxID < numLMS), which forces SA-IS into its recursion, several
+	// levels deep for the longer ones.
+	for _, n := range []int{2, 3, 5, 17, 64, 255, 256, 1000, 2000} {
+		inputs = append(inputs,
+			bytes.Repeat([]byte{'x'}, n),
+			bytes.Repeat([]byte("abcab"), n)[:n],
+			bytes.Repeat([]byte("ab"), n)[:n],
+			bytes.Repeat([]byte("aab"), n)[:n],
+			bytes.Repeat([]byte{0, 0, 1}, n)[:n],
+			bytes.Repeat([]byte("mississippi"), n)[:n],
+		)
+	}
+	inputs = append(inputs, forceAllocInput(2000))
+	for _, model := range losslessModels {
+		inputs = append(inputs, bytesortedAddrs(t, model, 64), bytesortedAddrs(t, model, 250))
+	}
+	for k, data := range inputs {
 		got := suffixArray(data)
-		want := make([]int32, n)
-		for i := range want {
-			want[i] = int32(i)
-		}
-		sort.Slice(want, func(a, b int) bool {
-			return bytes.Compare(data[want[a]:], data[want[b]:]) < 0
-		})
+		want := naiveSuffixArray(data)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: sa[%d] = %d, want %d (data=%v)", trial, i, got[i], want[i], data)
+				t.Fatalf("input %d (n=%d): sa[%d] = %d, want %d", k, len(data), i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// checkSuffixArray fails unless sa is a permutation of [0,n) listing the
+// suffixes of data in strictly increasing order. It compares each adjacent
+// pair by first byte and then by the rank of the suffix one position
+// further on, which by induction on suffix length is the same as
+// data[sa[i-1]:] < data[sa[i]:] but runs in linear time on repetitive
+// data.
+func checkSuffixArray(t *testing.T, data []byte, sa []int32) {
+	t.Helper()
+	n := len(data)
+	if len(sa) != n {
+		t.Fatalf("len(sa) = %d, want %d", len(sa), n)
+	}
+	rank := make([]int32, n+1) // rank[n] = -1: the empty suffix sorts first
+	for i := range rank {
+		rank[i] = -2
+	}
+	rank[n] = -1
+	for i, s := range sa {
+		if s < 0 || int(s) >= n || rank[s] != -2 {
+			t.Fatalf("sa is not a permutation of [0,%d): sa[%d] = %d", n, i, s)
+		}
+		rank[s] = int32(i)
+	}
+	for i := 1; i < n; i++ {
+		a, b := sa[i-1], sa[i]
+		if data[a] > data[b] || data[a] == data[b] && rank[a+1] > rank[b+1] {
+			t.Fatalf("suffix %d sorts before suffix %d but is larger", a, b)
+		}
+	}
+}
+
+// TestSuffixArrayBytesortedBlocks checks SA-IS on 64 KiB slices of the
+// blocks the lossless back end sorts: high-order columns that are long
+// runs, mid columns of page numbers, low columns of line offsets.
+func TestSuffixArrayBytesortedBlocks(t *testing.T) {
+	const slice = 64 << 10
+	for _, model := range losslessModels {
+		data := bytesortedAddrs(t, model, 32<<10) // 256 KiB, all eight columns
+		for off := 0; off+slice <= len(data); off += slice {
+			block := data[off : off+slice]
+			checkSuffixArray(t, block, suffixArray(block))
 		}
 	}
 }
@@ -179,7 +296,7 @@ func TestLargeRandom(t *testing.T) {
 }
 
 func TestLargeRepetitive(t *testing.T) {
-	// Worst case for comparison sorts; must stay fast with doubling sort.
+	// Worst case for comparison sorts; SA-IS stays linear on it.
 	in := bytes.Repeat([]byte("aaaaaaab"), 1<<15)
 	out, p := Transform(in)
 	got, err := Inverse(out, p)
@@ -198,6 +315,25 @@ func BenchmarkTransform1MB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Transform(in)
+	}
+}
+
+// BenchmarkTransformAddrBlock transforms one full-size bsc block (900 KB,
+// bsc.DefaultBlockSize) of each lossless model: the first block of a
+// bytesorted 128 Ki-address segment, as in the lossless benchmark
+// workload. Random input (BenchmarkTransform1MB) hides most of the
+// difference between suffix sorts; this is the data the encoder sorts.
+func BenchmarkTransformAddrBlock(b *testing.B) {
+	const blockSize = 900 * 1000 // bsc.DefaultBlockSize; bsc imports bwt
+	for _, model := range losslessModels {
+		block := bytesortedAddrs(b, model, 128<<10)[:blockSize]
+		b.Run(model, func(b *testing.B) {
+			b.SetBytes(blockSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				Transform(block)
+			}
+		})
 	}
 }
 

@@ -339,11 +339,9 @@ func (d *Decoder) readSegment() error {
 	if n > maxSegmentAddrs {
 		return fmt.Errorf("%w: segment of %d addresses exceeds limit %d", ErrCorrupt, n, maxSegmentAddrs)
 	}
-	if cap(d.blocks) < 8*n {
-		d.blocks = make([]byte, 8*n)
-	}
-	blocks := d.blocks[:8*n]
-	if _, err := io.ReadFull(d.r, blocks); err != nil {
+	blocks, err := readBody(d.r, d.blocks, 8*n)
+	d.blocks = blocks
+	if err != nil {
 		return fmt.Errorf("%w: short segment body (%d addresses)", ErrCorrupt, n)
 	}
 	if cap(d.pending) < n {
@@ -358,6 +356,39 @@ func (d *Decoder) readSegment() error {
 	d.pending = addrs
 	d.pos = 0
 	return nil
+}
+
+// bodyStep bounds how far readBody grows its buffer ahead of the bytes it
+// has actually read.
+const bodyStep = 1 << 20
+
+// readBody reads size bytes from r into buf's storage and returns them.
+// When buf already has the capacity (the steady state of a reused
+// Decoder) it reads straight into it. Otherwise size comes from an
+// untrusted header, so the buffer grows at most bodyStep past the bytes
+// received and a short body costs about what it delivered, not what its
+// header claimed. The returned slice keeps any growth even on error.
+func readBody(r io.Reader, buf []byte, size int) ([]byte, error) {
+	if cap(buf) >= size {
+		buf = buf[:size]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < size {
+		step := min(bodyStep, size-len(buf))
+		if cap(buf)-len(buf) < step {
+			grown := make([]byte, len(buf), min(max(2*cap(buf), len(buf)+step), size))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // inverseSegment reconstructs n addresses from their eight byte blocks.

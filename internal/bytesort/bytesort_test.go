@@ -126,13 +126,25 @@ func TestUnshuffleRoundTrip(t *testing.T) {
 
 func TestStreamingRoundTripMultipleSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	addrs := make([]uint64, 10_000)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(1 << 30))
+	for _, tc := range []struct{ n, bufAddrs int }{
+		{10_000, 777}, // many segments + short tail
+		// A 2 MiB body read in two steps, then a tail read straight into
+		// the grown buffer.
+		{3*bodyStep/8 + 5, 2 * bodyStep / 8},
+	} {
+		addrs := make([]uint64, tc.n)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(1 << 30))
+		}
+		roundTripSegments(t, addrs, tc.bufAddrs)
 	}
+}
+
+func roundTripSegments(t *testing.T, addrs []uint64, bufAddrs int) {
+	t.Helper()
 	for _, mode := range []Mode{Sorted, Unshuffle} {
 		var buf bytes.Buffer
-		e := NewEncoderMode(&buf, 777, mode) // forces many segments + short tail
+		e := NewEncoderMode(&buf, bufAddrs, mode)
 		if err := e.WriteSlice(addrs); err != nil {
 			t.Fatal(err)
 		}
