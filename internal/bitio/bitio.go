@@ -111,10 +111,17 @@ func (w *Writer) Close() error { return w.Flush() }
 
 // Reader reads bits from an underlying io.Reader.
 // The zero value is not usable; use NewReader.
+//
+// A Reader pulls whole bytes from its source only when a read needs a bit
+// it does not yet hold, so after any read the source sits just past the
+// byte holding the last bit returned. ReadBits itself never buffers more
+// than 7 bits; a table-driven decoder can buffer more with FillByte,
+// inspect them with Buffered and consume them with SkipBits, and ReadBits
+// and AlignByte then take the buffered bits first.
 type Reader struct {
 	r     io.ByteReader
 	acc   uint64 // bit accumulator; low nacc bits are valid, MSB-first order
-	nacc  uint
+	nacc  uint   // valid bits in acc, at most 64
 	count int64
 	err   error
 }
@@ -190,7 +197,39 @@ func (r *Reader) ReadBit() (uint, error) {
 // BitsRead reports the total number of bits successfully read.
 func (r *Reader) BitsRead() int64 { return r.count }
 
-// AlignByte discards bits up to the next byte boundary.
+// AlignByte discards bits up to the next byte boundary. Whole bytes that
+// FillByte buffered are kept.
 func (r *Reader) AlignByte() {
-	r.acc, r.nacc = 0, 0
+	r.nacc -= r.nacc % 8
+}
+
+// Buffered returns the bits already pulled from the source but not yet
+// consumed: the next bit to be read is bit n-1 of bits, and bits above n
+// are zero.
+func (r *Reader) Buffered() (bits uint64, n uint) {
+	return r.acc & (1<<r.nacc - 1), r.nacc
+}
+
+// FillByte pulls one more byte from the source into the buffer. It must
+// only be called with at most 56 bits buffered. At end of stream it
+// returns io.EOF, which, like any source error, sticks: later reads
+// return it too.
+func (r *Reader) FillByte() error {
+	if r.err != nil {
+		return r.err
+	}
+	b, err := r.r.ReadByte()
+	if err != nil {
+		r.err = err
+		return err
+	}
+	r.acc = r.acc<<8 | uint64(b)
+	r.nacc += 8
+	return nil
+}
+
+// SkipBits consumes n buffered bits, n ≤ the n that Buffered reports.
+func (r *Reader) SkipBits(n uint) {
+	r.nacc -= n
+	r.count += int64(n)
 }

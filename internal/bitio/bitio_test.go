@@ -247,3 +247,128 @@ func BenchmarkWriterWriteBits(b *testing.B) {
 		_ = w.WriteBits(uint64(i), 64)
 	}
 }
+
+// TestFillBufferedSkip drives the table-decoder accessors: FillByte
+// buffers whole bytes, Buffered shows exactly the unconsumed bits, and
+// SkipBits consumes them and counts them as read.
+func TestFillBufferedSkip(t *testing.T) {
+	r := NewReader(bytes.NewReader([]byte{0xA5, 0x3C, 0xF0}))
+	if bits, n := r.Buffered(); bits != 0 || n != 0 {
+		t.Fatalf("fresh Buffered = %#x/%d, want 0/0", bits, n)
+	}
+	for _, err := range []error{r.FillByte(), r.FillByte()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bits, n := r.Buffered(); bits != 0xA53C || n != 16 {
+		t.Fatalf("Buffered = %#x/%d, want 0xa53c/16", bits, n)
+	}
+	r.SkipBits(3)
+	if bits, n := r.Buffered(); bits != 0x053C || n != 13 {
+		t.Fatalf("after SkipBits(3): Buffered = %#x/%d, want 0x53c/13", bits, n)
+	}
+	if r.BitsRead() != 3 {
+		t.Fatalf("BitsRead = %d, want 3", r.BitsRead())
+	}
+	if err := r.FillByte(); err != nil {
+		t.Fatal(err)
+	}
+	if bits, n := r.Buffered(); bits != 0x053CF0 || n != 21 {
+		t.Fatalf("Buffered = %#x/%d, want 0x53cf0/21", bits, n)
+	}
+	if err := r.FillByte(); err != io.EOF {
+		t.Fatalf("FillByte at end = %v, want io.EOF", err)
+	}
+	if _, err := r.ReadBits(1); err != io.EOF {
+		t.Fatalf("ReadBits after a failed FillByte = %v, want the sticky io.EOF", err)
+	}
+}
+
+// TestFillByteHoldsFullWord buffers eight bytes (64 bits, the accumulator's
+// width) and reads them back through Buffered.
+func TestFillByteHoldsFullWord(t *testing.T) {
+	src := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF}
+	r := NewReader(bytes.NewReader(src))
+	for range src {
+		if err := r.FillByte(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bits, n := r.Buffered(); bits != 0x0123456789ABCDEF || n != 64 {
+		t.Fatalf("Buffered = %#x/%d, want 0x123456789abcdef/64", bits, n)
+	}
+	r.SkipBits(60)
+	if bits, n := r.Buffered(); bits != 0xF || n != 4 {
+		t.Fatalf("after SkipBits(60): Buffered = %#x/%d, want 0xf/4", bits, n)
+	}
+}
+
+// TestReadBitsDrainsFilledBytes reads across more than 8 buffered bits:
+// ReadBits must take the buffered bits first, in order, and pull new
+// bytes only once they run out.
+func TestReadBitsDrainsFilledBytes(t *testing.T) {
+	src := &countingSource{b: []byte{0xDE, 0xAD, 0xBE, 0xEF}}
+	r := NewReader(src)
+	_ = r.FillByte()
+	_ = r.FillByte()
+	r.SkipBits(4)
+	// 12 bits buffered (0xEAD); read 8 of them, then 12 more across the
+	// buffer's end.
+	if v, err := r.ReadBits(8); err != nil || v != 0xEA {
+		t.Fatalf("ReadBits(8) = %#x, %v; want 0xea", v, err)
+	}
+	if src.n != 2 {
+		t.Fatalf("pulled %d bytes with 4 bits still buffered, want 2", src.n)
+	}
+	if v, err := r.ReadBits(12); err != nil || v != 0xDBE {
+		t.Fatalf("ReadBits(12) = %#x, %v; want 0xdbe", v, err)
+	}
+	if r.BitsRead() != 24 {
+		t.Fatalf("BitsRead = %d, want 24", r.BitsRead())
+	}
+	if v, err := r.ReadBits(8); err != nil || v != 0xEF {
+		t.Fatalf("ReadBits(8) = %#x, %v; want 0xef", v, err)
+	}
+}
+
+// TestAlignByteKeepsFilledBytes aligns with more than 8 bits buffered:
+// only the partial byte's remaining bits are dropped.
+func TestAlignByteKeepsFilledBytes(t *testing.T) {
+	r := NewReader(bytes.NewReader([]byte{0xFF, 0x5A, 0xC3}))
+	_ = r.FillByte()
+	_ = r.FillByte()
+	_ = r.FillByte()
+	r.SkipBits(3)
+	r.AlignByte()
+	if bits, n := r.Buffered(); bits != 0x5AC3 || n != 16 {
+		t.Fatalf("after AlignByte: Buffered = %#x/%d, want 0x5ac3/16", bits, n)
+	}
+	r.AlignByte() // already aligned: a no-op
+	if v, err := r.ReadBits(16); err != nil || v != 0x5AC3 {
+		t.Fatalf("ReadBits(16) = %#x, %v; want 0x5ac3", v, err)
+	}
+}
+
+// countingSource is an io.ByteReader that counts the bytes pulled.
+type countingSource struct {
+	b []byte
+	n int
+}
+
+func (c *countingSource) ReadByte() (byte, error) {
+	if c.n == len(c.b) {
+		return 0, io.EOF
+	}
+	c.n++
+	return c.b[c.n-1], nil
+}
+
+func (c *countingSource) Read(p []byte) (int, error) {
+	if c.n == len(c.b) {
+		return 0, io.EOF
+	}
+	k := copy(p, c.b[c.n:])
+	c.n += k
+	return k, nil
+}

@@ -349,13 +349,10 @@ func (r *Reader) nextBlock() error {
 	// Every symbol before EOB contributes at least one decoded byte (an
 	// MTF symbol exactly one, a RUNA/RUNB run digit one or more), so a
 	// valid block's symbol stream holds at most origLen symbols plus the
-	// EOB — preallocating that bound makes the loop allocation-free and
-	// turns an over-long hostile stream into an early corruption error
-	// instead of an unbounded allocation.
+	// EOB; a longer one is corrupt. The buffer grows with the symbols
+	// actually decoded, not with the untrusted origLen, so a short stream
+	// cannot claim a large allocation; a reused Reader keeps its buffer.
 	maxSyms := int(origLen) + 1
-	if cap(r.syms) < maxSyms {
-		r.syms = make([]uint16, 0, maxSyms)
-	}
 	r.syms = r.syms[:0]
 	for {
 		s, err := r.dec.ReadSymbol()
@@ -392,11 +389,10 @@ func (r *Reader) nextBlock() error {
 		return ErrChecksum
 	}
 	r.pending = block
-	// NOTE: the bit reader may have buffered bits past the block's padding;
-	// bitio reads byte-at-a-time from the shared counter, and compressBlock
-	// byte-aligns its output, so the next block starts exactly at the next
-	// byte. bitio.Reader only consumes whole bytes, so no realignment of the
-	// underlying stream is needed.
+	// The bit reader may still hold the EOB byte's padding bits, never a
+	// byte past it: it pulls whole bytes, one at a time and only when the
+	// symbol being decoded needs one, and compressBlock byte-aligns its
+	// output, so the next block's marker is the next byte of r.br.
 	return nil
 }
 

@@ -2,10 +2,13 @@ package bsc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"atc/internal/bitio"
 	"atc/internal/mtf"
 )
 
@@ -28,6 +31,55 @@ func longRunStream(t testing.TB, digits int) []byte {
 	}
 	buf.b = append(buf.b, 0)
 	return buf.b
+}
+
+// shortHugeBlockStream frames one block that claims MaxBlockSize bytes
+// but carries only a two-symbol length table (RUNA and EOB, one bit each)
+// and a single zero body byte: 180 bytes that decode to 14 RUNA symbols
+// before the stream runs out.
+func shortHugeBlockStream(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	var hdr [13]byte
+	hdr[0] = 1
+	binary.LittleEndian.PutUint32(hdr[1:5], MaxBlockSize)
+	buf.Write(hdr[:])
+	bw := bitio.NewWriter(&buf)
+	for sym := 0; sym < mtf.NumSyms; sym++ {
+		l := uint64(0)
+		if sym == mtf.RunA || sym == mtf.EOB {
+			l = 1
+		}
+		if err := bw.WriteBits(l, lenBits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0)
+	return buf.Bytes()
+}
+
+// TestReaderShortStreamBoundedAlloc pins the symbol buffer to the symbols
+// a block actually carries: a short stream whose header claims the
+// largest block must fail as corrupt without allocating for the claim.
+func TestReaderShortStreamBoundedAlloc(t *testing.T) {
+	stream := shortHugeBlockStream(t)
+	if len(stream) != 180 {
+		t.Fatalf("stream is %d bytes, want 180", len(stream))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(stream)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decompress = %v, want ErrCorrupt", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want < 4 MiB", len(stream), delta)
+	}
 }
 
 // FuzzBSCReader throws arbitrary bytes at the decompressor. Any outcome
@@ -61,6 +113,7 @@ func FuzzBSCReader(f *testing.F) {
 		}
 	}
 	f.Add(longRunStream(f, 40))
+	f.Add(shortHugeBlockStream(f))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		got, err := Decompress(stream)

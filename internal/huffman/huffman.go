@@ -6,6 +6,17 @@
 // Kraft inequality satisfied (the same strategy used by zlib). Codes are
 // canonical: within a length, codes are assigned in increasing symbol order,
 // so a decoder needs only the length table.
+//
+// Decoding is table-driven, as in bzip2 and compress/flate: Decoder.Reset
+// builds a 1<<tbits-entry lookup table (tbits = min(10, longest code))
+// that maps the next tbits bits of the stream to a symbol and its code
+// length, so every code of at most tbits bits decodes in one lookup; longer
+// codes finish with a canonical walk, one length at a time. The decoder
+// never reads ahead: it pulls a byte from the bitio.Reader's source only
+// when the symbol it is decoding has bits in that byte, so after each
+// symbol the source sits just past the byte holding the symbol's last bit
+// and framing that follows the coded stream (the next bsc block) can be
+// read from the same source.
 package huffman
 
 import (
@@ -257,10 +268,19 @@ func (e *Encoder) WriteSymbol(sym int) error {
 	return e.w.WriteBits(uint64(e.cb.Codes[sym]), uint(l))
 }
 
+// tableBits is the widest lookup of the decode table: codes of at most
+// this many bits decode in one step.
+const tableBits = 10
+
 // Decoder reads canonical Huffman codes from a bit stream.
 type Decoder struct {
 	r *bitio.Reader
-	// Canonical decode tables indexed by code length.
+	// table maps the next tbits bits of the stream to sym<<8 | length for
+	// every code of at most tbits bits; 0 marks a longer code (or none).
+	table []uint32
+	tbits uint
+	// Canonical decode tables indexed by code length, for codes longer
+	// than tbits.
 	firstCode []uint32 // first canonical code of each length
 	count     []int    // number of codes of each length
 	offset    []int    // index into symOrder of first symbol of each length
@@ -340,25 +360,76 @@ func (d *Decoder) Reset(lengths []uint8, r *bitio.Reader) error {
 			}
 		}
 	}
+	// Every code of at most tbits bits owns the 1<<(tbits-l) table
+	// entries it prefixes. Kraft ≤ 1 keeps canonical codes inside their
+	// length's code space, so the ranges are disjoint and in bounds.
+	d.tbits = uint(min(tableBits, maxLen))
+	if cap(d.table) < 1<<d.tbits {
+		d.table = make([]uint32, 1<<tableBits)
+	}
+	d.table = d.table[:1<<d.tbits]
+	clear(d.table)
+	for l := uint(1); l <= d.tbits; l++ {
+		for i := 0; i < d.count[l]; i++ {
+			e := uint32(d.symOrder[d.offset[l]+i])<<8 | uint32(l)
+			lo := (d.firstCode[l] + uint32(i)) << (d.tbits - l)
+			for j := lo; j < lo+1<<(d.tbits-l); j++ {
+				d.table[j] = e
+			}
+		}
+	}
 	d.r = r
 	d.maxLen = maxLen
 	return nil
 }
 
 // ReadSymbol decodes and returns the next symbol.
+//
+// It looks the next tbits bits up in the table, zero-padding the index
+// when fewer are buffered, and pulls one more byte only when the entry is
+// empty or longer than the bits buffered: then the symbol's code is
+// longer than the bits buffered, so the byte holds some of it. Codes
+// longer than tbits finish with a canonical walk from length tbits+1. The
+// reader therefore never consumes a byte past the one holding the
+// symbol's last bit.
 func (d *Decoder) ReadSymbol() (int, error) {
-	code := uint32(0)
-	for l := 1; l <= d.maxLen; l++ {
-		bit, err := d.r.ReadBit()
-		if err != nil {
+	if d.maxLen == 0 { // zero value, or the last Reset failed
+		return 0, errBadLengths
+	}
+	bits, n := d.r.Buffered()
+	tbits := d.tbits
+	var idx uint64 // the next tbits bits; Buffered zeroes those above n
+	for {
+		if n >= tbits {
+			idx = bits >> (n - tbits)
+		} else {
+			idx = bits << (tbits - n)
+		}
+		e := d.table[idx]
+		if l := uint(e & 0xff); l != 0 && l <= n {
+			d.r.SkipBits(l)
+			return int(e >> 8), nil
+		}
+		if n >= tbits {
+			break
+		}
+		if err := d.r.FillByte(); err != nil {
 			return 0, err
 		}
-		code = code<<1 | uint32(bit)
-		if d.count[l] > 0 {
-			idx := int(code) - int(d.firstCode[l])
-			if idx >= 0 && idx < d.count[l] {
-				return d.symOrder[d.offset[l]+idx], nil
+		bits, n = d.r.Buffered()
+	}
+	code := uint32(idx)
+	for l := int(tbits) + 1; l <= d.maxLen; l++ {
+		if n < uint(l) {
+			if err := d.r.FillByte(); err != nil {
+				return 0, err
 			}
+			bits, n = d.r.Buffered()
+		}
+		code = code<<1 | uint32(bits>>(n-uint(l))&1)
+		if i := int(code) - int(d.firstCode[l]); i >= 0 && i < d.count[l] {
+			d.r.SkipBits(uint(l))
+			return d.symOrder[d.offset[l]+i], nil
 		}
 	}
 	return 0, errBadLengths

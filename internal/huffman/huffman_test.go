@@ -2,12 +2,142 @@ package huffman
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"atc/internal/bitio"
+	"atc/internal/bwt"
+	"atc/internal/bytesort"
+	"atc/internal/mtf"
+	"atc/internal/workload"
 )
+
+// referenceReadSymbol is the bit-serial canonical decode: it reads one bit
+// at a time and stops at the first length whose code range holds the code
+// so far. The table-driven ReadSymbol must match it symbol for symbol,
+// error for error and byte for byte.
+func referenceReadSymbol(d *Decoder) (int, error) {
+	code := uint32(0)
+	for l := 1; l <= d.maxLen; l++ {
+		bit, err := d.r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		code = code<<1 | uint32(bit)
+		if d.count[l] > 0 {
+			idx := int(code) - int(d.firstCode[l])
+			if idx >= 0 && idx < d.count[l] {
+				return d.symOrder[d.offset[l]+idx], nil
+			}
+		}
+	}
+	return 0, errBadLengths
+}
+
+// byteCounter is an io.ByteReader over b that counts the bytes pulled.
+type byteCounter struct {
+	b []byte
+	n int
+}
+
+func (c *byteCounter) ReadByte() (byte, error) {
+	if c.n == len(c.b) {
+		return 0, io.EOF
+	}
+	c.n++
+	return c.b[c.n-1], nil
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	if c.n == len(c.b) {
+		return 0, io.EOF
+	}
+	k := copy(p, c.b[c.n:])
+	c.n += k
+	return k, nil
+}
+
+const (
+	blockSize = 900 * 1000 // bsc.DefaultBlockSize; bsc imports huffman
+	lenBits   = 5          // bits per code length in a bsc block header
+)
+
+// losslessModels are the four Table 1 models of the lossless benchmark
+// workload: a compiler, a pointer chaser, a streaming kernel and an XML
+// transformer.
+var losslessModels = []string{"403.gcc", "429.mcf", "462.libquantum", "483.xalancbmk"}
+
+// addrBlockSyms returns the MTF symbol stream bsc entropy-codes for the
+// first block (at most 900 KB) of a bytesorted n-address segment of model:
+// the data this decoder sees in the lossless workload.
+func addrBlockSyms(tb testing.TB, model string, n int) []uint16 {
+	tb.Helper()
+	addrs, err := workload.GenerateFiltered(model, n, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	block := bytesort.TransformBuffer(addrs, bytesort.Sorted)
+	if len(block) > blockSize {
+		block = block[:blockSize]
+	}
+	transformed, _ := bwt.Transform(block)
+	return mtf.Encode(transformed)
+}
+
+// blockLengths builds the length table bsc builds for syms.
+func blockLengths(tb testing.TB, syms []uint16) []uint8 {
+	tb.Helper()
+	freqs := make([]int64, mtf.NumSyms)
+	for _, s := range syms {
+		freqs[s]++
+	}
+	lengths, err := BuildLengths(freqs, MaxBits)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lengths
+}
+
+// encodeBlock writes lengths and syms as a bsc block body: each code
+// length in lenBits bits, then the canonical codes, zero-padded to a byte.
+func encodeBlock(tb testing.TB, lengths []uint8, syms []uint16) []byte {
+	tb.Helper()
+	cb, err := NewCodebook(lengths)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	bw := bitio.NewWriter(&buf)
+	for _, l := range lengths {
+		if err := bw.WriteBits(uint64(l), lenBits); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	enc := NewEncoder(cb, bw)
+	for _, s := range syms {
+		if err := enc.WriteSymbol(int(s)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readLengths reads a block header's code lengths into lengths.
+func readLengths(br *bitio.Reader, lengths []uint8) error {
+	for i := range lengths {
+		v, err := br.ReadBits(lenBits)
+		if err != nil {
+			return err
+		}
+		lengths[i] = uint8(v)
+	}
+	return nil
+}
 
 func roundTrip(t *testing.T, data []byte, maxBits int) {
 	t.Helper()
@@ -223,6 +353,94 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadSymbolWithoutTable checks that a decoder with no valid table —
+// the zero value, or one whose last Reset failed — reports an error
+// instead of decoding.
+func TestReadSymbolWithoutTable(t *testing.T) {
+	var zero Decoder
+	if _, err := zero.ReadSymbol(); err == nil {
+		t.Fatal("zero Decoder decoded a symbol")
+	}
+	br := bitio.NewReader(bytes.NewReader([]byte{0, 0}))
+	dec, err := NewDecoder([]uint8{1, 1}, br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Reset([]uint8{1, 1, 1}, br); err == nil {
+		t.Fatal("Reset accepted an over-full table")
+	}
+	if _, err := dec.ReadSymbol(); err == nil {
+		t.Fatal("Decoder decoded a symbol after a failed Reset")
+	}
+}
+
+// TestReadSymbolReadsNoAhead decodes real blocks and checks, after every
+// symbol, that the decoder has pulled exactly the bytes holding the bits
+// it consumed: the next block's framing byte follows in the same source.
+func TestReadSymbolReadsNoAhead(t *testing.T) {
+	for _, model := range losslessModels {
+		syms := addrBlockSyms(t, model, 128<<10)
+		stream := encodeBlock(t, blockLengths(t, syms), syms)
+		src := &byteCounter{b: stream}
+		br := bitio.NewReader(src)
+		lengths := make([]uint8, mtf.NumSyms)
+		if err := readLengths(br, lengths); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewDecoder(lengths, br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range syms {
+			got, err := dec.ReadSymbol()
+			if err != nil || got != int(want) {
+				t.Fatalf("%s: symbol %d = %d, %v; want %d", model, i, got, err, want)
+			}
+			if pulled := int64(src.n); pulled != (br.BitsRead()+7)/8 {
+				t.Fatalf("%s: after symbol %d: pulled %d bytes for %d bits", model, i, pulled, br.BitsRead())
+			}
+		}
+		if src.n != len(stream) {
+			t.Fatalf("%s: pulled %d of %d bytes after EOB", model, src.n, len(stream))
+		}
+	}
+}
+
+// BenchmarkDecodeAddrBlock decodes the Huffman-coded symbol stream of one
+// full-size bsc block (900 KB) of each lossless model — the first block of
+// a bytesorted, BWT-transformed 128 Ki-address segment, as in the lossless
+// benchmark workload — through ReadSymbol, length table included. Bytes
+// are the block's decoded size.
+func BenchmarkDecodeAddrBlock(b *testing.B) {
+	for _, model := range losslessModels {
+		syms := addrBlockSyms(b, model, 128<<10)
+		stream := encodeBlock(b, blockLengths(b, syms), syms)
+		b.Run(model, func(b *testing.B) {
+			var br bitio.Reader
+			var dec Decoder
+			lengths := make([]uint8, mtf.NumSyms)
+			src := bytes.NewReader(nil)
+			b.SetBytes(blockSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				src.Reset(stream)
+				br.Reset(src)
+				if err := readLengths(&br, lengths); err != nil {
+					b.Fatal(err)
+				}
+				if err := dec.Reset(lengths, &br); err != nil {
+					b.Fatal(err)
+				}
+				for range syms {
+					if _, err := dec.ReadSymbol(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

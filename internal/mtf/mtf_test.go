@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"atc/internal/bwt"
+	"atc/internal/bytesort"
+	"atc/internal/workload"
 )
 
 func TestMoveToFrontKnown(t *testing.T) {
@@ -152,6 +156,62 @@ func BenchmarkEncode(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Encode(data)
+	}
+}
+
+// losslessModels are the four Table 1 models of the lossless benchmark
+// workload: a compiler, a pointer chaser, a streaming kernel and an XML
+// transformer.
+var losslessModels = []string{"403.gcc", "429.mcf", "462.libquantum", "483.xalancbmk"}
+
+// addrBlock returns what MTF sees of one full-size bsc block (900 KB,
+// bsc.DefaultBlockSize) of model: the BWT of the first block of a
+// bytesorted 128 Ki-address segment, as in the lossless benchmark
+// workload.
+func addrBlock(tb testing.TB, model string) []byte {
+	tb.Helper()
+	const blockSize = 900 * 1000 // bsc.DefaultBlockSize; bsc imports mtf
+	addrs, err := workload.GenerateFiltered(model, 128<<10, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	transformed, _ := bwt.Transform(bytesort.TransformBuffer(addrs, bytesort.Sorted)[:blockSize])
+	return transformed
+}
+
+// BenchmarkEncodeAddrBlock move-to-front and zero-run codes one real block
+// per lossless model (see addrBlock); repetitive text (BenchmarkEncode)
+// is not what this layer sees.
+func BenchmarkEncodeAddrBlock(b *testing.B) {
+	for _, model := range losslessModels {
+		block := addrBlock(b, model)
+		b.Run(model, func(b *testing.B) {
+			b.SetBytes(int64(len(block)))
+			b.ReportAllocs()
+			for b.Loop() {
+				Encode(block)
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeAddrBlock reverses BenchmarkEncodeAddrBlock's output
+// into a reused buffer, as the bsc Reader does.
+func BenchmarkDecodeAddrBlock(b *testing.B) {
+	for _, model := range losslessModels {
+		block := addrBlock(b, model)
+		syms := Encode(block)
+		b.Run(model, func(b *testing.B) {
+			out := make([]byte, 0, len(block))
+			b.SetBytes(int64(len(block)))
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if out, _, err = DecodeInto(out, syms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
