@@ -311,8 +311,8 @@ func WithSharedChunkCache(c *TraceChunkCache) ReadOption {
 // SharedChunkCacheBytes is a process-wide byte-budgeted chunk cache:
 // every Reader of every trace shares one memory cap, with entries keyed
 // by (trace, chunkID), accounted at len(addrs)*8 bytes each and evicted
-// LRU-by-bytes (pinned chunks survive pressure). Inject a per-trace view
-// from ForTrace with WithSharedChunkCache.
+// LRU-by-bytes. Inject a per-trace view from ForTrace with
+// WithSharedChunkCache.
 type SharedChunkCacheBytes = core.SharedChunkCacheBytes
 
 // TraceChunkCache is one trace's view of a SharedChunkCacheBytes; it
@@ -487,7 +487,7 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 // DecodeRange decodes the addresses at trace positions [from, to) —
 // byte-for-byte the slice DecodeAll would have produced there —
 // decompressing only the chunks overlapping the window. Touched chunks
-// are pinned in the chunk cache (WithChunkCache), so a hot working set of
+// are kept in the chunk cache (WithChunkCache), so a hot working set of
 // ranges is served from memory. The streaming position is unaffected.
 func (r *Reader) DecodeRange(from, to int64) ([]uint64, error) {
 	return r.d.DecodeRange(from, to)

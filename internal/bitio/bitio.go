@@ -21,8 +21,8 @@ var ErrTooManyBits = errors.New("bitio: bit count out of range [0,64]")
 // The zero value is not usable; use NewWriter.
 type Writer struct {
 	w     *bufio.Writer
-	acc   uint64 // bit accumulator, top bits are pending output
-	nacc  uint   // number of valid bits in acc (always < 8 after a write)
+	acc   uint64 // bit accumulator; the low nacc bits are pending output
+	nacc  uint   // number of pending bits in acc (always < 8 after a write)
 	count int64  // total bits written
 	err   error
 }
@@ -42,30 +42,25 @@ func (w *Writer) WriteBits(v uint64, n uint) error {
 		w.err = ErrTooManyBits
 		return w.err
 	}
-	if n == 0 {
-		return nil
-	}
-	w.count += int64(n)
 	if n < 64 {
 		v &= (1 << n) - 1
 	}
-	// Accumulate; emit full bytes as they form.
-	for n > 0 {
-		take := 8 - w.nacc
-		if take > n {
-			take = n
+	if w.nacc+n > 64 {
+		// The bits do not fit beside the pending ones: write the top
+		// n-32 first, so that each part does.
+		if err := w.WriteBits(v>>32, n-32); err != nil {
+			return err
 		}
-		// Bits of v to take: the top `take` of the remaining n.
-		chunk := v >> (n - take)
-		w.acc = (w.acc << take) | (chunk & ((1 << take) - 1))
-		w.nacc += take
-		n -= take
-		if w.nacc == 8 {
-			if werr := w.w.WriteByte(byte(w.acc)); werr != nil {
-				w.err = werr
-				return werr
-			}
-			w.acc, w.nacc = 0, 0
+		v, n = v&(1<<32-1), 32
+	}
+	w.count += int64(n)
+	w.acc = w.acc<<n | v // a shift by 64 gives 0, as n = 64 needs
+	w.nacc += n
+	for w.nacc >= 8 {
+		w.nacc -= 8
+		if err := w.w.WriteByte(byte(w.acc >> w.nacc)); err != nil {
+			w.err = err
+			return err
 		}
 	}
 	return nil
@@ -91,13 +86,11 @@ func (w *Writer) Flush() error {
 		return w.err
 	}
 	if w.nacc > 0 {
-		pad := 8 - w.nacc
-		w.acc <<= pad
-		if err := w.w.WriteByte(byte(w.acc)); err != nil {
+		if err := w.w.WriteByte(byte(w.acc << (8 - w.nacc))); err != nil {
 			w.err = err
 			return err
 		}
-		w.acc, w.nacc = 0, 0
+		w.nacc = 0
 	}
 	if err := w.w.Flush(); err != nil {
 		w.err = err

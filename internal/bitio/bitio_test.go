@@ -227,6 +227,83 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// serialWriter is the bit-at-a-time reference Writer is checked against:
+// bits go MSB first into bytes, and Flush zero-pads the last byte.
+type serialWriter struct {
+	out   []byte
+	nbits int64 // bits written, padding included
+	count int64 // bits written, padding excluded
+}
+
+func (s *serialWriter) writeBits(v uint64, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		if s.nbits%8 == 0 {
+			s.out = append(s.out, 0)
+		}
+		if v>>uint(i)&1 != 0 {
+			s.out[len(s.out)-1] |= 0x80 >> uint(s.nbits%8)
+		}
+		s.nbits++
+		s.count++
+	}
+}
+
+func (s *serialWriter) flush() {
+	s.nbits = int64(len(s.out)) * 8
+}
+
+// TestWriterMatchesSerialReference drives Writer and the bit-serial
+// reference with random widths 0..64 (64 often lands on a non-empty
+// accumulator, which takes the split path) and random interleaved
+// Flushes: the bytes and BitsWritten must match after every step. High
+// bits above the width are set to check they are masked.
+func TestWriterMatchesSerialReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	split := 0 // 64-bit writes onto a non-empty accumulator
+	for round := 0; round < 200; round++ {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		var ref serialWriter
+		for op := 0; op < 300; op++ {
+			if rng.Intn(16) == 0 {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				ref.flush()
+				if !bytes.Equal(buf.Bytes(), ref.out) {
+					t.Fatalf("round %d op %d: after Flush bytes %x, want %x", round, op, buf.Bytes(), ref.out)
+				}
+				continue
+			}
+			n := uint(rng.Intn(65))
+			v := rng.Uint64()
+			if n == 64 && ref.nbits%8 != 0 {
+				split++
+			}
+			if err := w.WriteBits(v, n); err != nil {
+				t.Fatal(err)
+			}
+			if n < 64 {
+				v &= 1<<n - 1
+			}
+			ref.writeBits(v, n)
+			if w.BitsWritten() != ref.count {
+				t.Fatalf("round %d op %d: BitsWritten %d, want %d", round, op, w.BitsWritten(), ref.count)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ref.flush()
+		if !bytes.Equal(buf.Bytes(), ref.out) {
+			t.Fatalf("round %d: bytes %x, want %x", round, buf.Bytes(), ref.out)
+		}
+	}
+	if split == 0 {
+		t.Fatal("no 64-bit write landed on a non-empty accumulator")
+	}
+}
+
 func TestBitsReadCounter(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

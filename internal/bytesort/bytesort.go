@@ -24,6 +24,7 @@
 package bytesort
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,8 +64,6 @@ type Encoder struct {
 	buf     []uint64
 	scratch []uint64
 	block   []byte
-	hist    [256]int32
-	jb      [256]int32
 	err     error
 	closed  bool
 }
@@ -169,40 +168,44 @@ func (e *Encoder) flush() error {
 		e.err = err
 		return err
 	}
-	a := e.buf
-	b := e.scratch[:n]
+	a, b := e.buf, e.scratch[:n]
+	blk := e.block[:n]
 	for j := 0; j < 8; j++ {
-		if j > 0 && e.mode == Sorted {
-			// Stable counting sort of a by its current top byte (which is
-			// the byte emitted in the previous round), shifting left so the
-			// next original byte becomes the top byte. Mirrors sort_bytes()
-			// in the paper's Figure 2.
-			e.jb[0] = 0
+		// Emit the top byte of each address in current order, mirroring
+		// unshuffle_bytes() in the paper's Figure 2. blk still holds the
+		// previous round's bytes.
+		if j > 0 && e.mode == Sorted && !constant(blk) {
+			// Stable counting sort of a by the byte emitted in the
+			// previous round, shifting left so the next original byte
+			// becomes the top byte. Mirrors sort_bytes() in the paper's
+			// Figure 2.
+			var hist, next [256]int32
+			for _, c := range blk {
+				hist[c]++
+			}
 			for c := 1; c < 256; c++ {
-				e.jb[c] = e.jb[c-1] + e.hist[c-1]
+				next[c] = next[c-1] + hist[c-1]
 			}
 			for _, v := range a {
 				c := v >> 56
-				b[e.jb[c]] = v << 8
-				e.jb[c]++
+				v <<= 8
+				b[next[c]] = v
+				blk[next[c]] = byte(v >> 56)
+				next[c]++
 			}
-			a, b = b, a[:n]
-		} else if j > 0 {
-			for i := range a {
-				a[i] <<= 8
+			a, b = b, a
+		} else {
+			// A stable sort by a constant byte is the identity, and
+			// Unshuffle does not sort: only shift.
+			var shift uint
+			if j > 0 {
+				shift = 8
 			}
-		}
-		// Unshuffle: emit the top byte of each address in current order and
-		// compute its histogram for the next round's sort. Mirrors
-		// unshuffle_bytes() in the paper's Figure 2.
-		for c := range e.hist {
-			e.hist[c] = 0
-		}
-		blk := e.block[:n]
-		for i, v := range a {
-			c := byte(v >> 56)
-			blk[i] = c
-			e.hist[c]++
+			for i, v := range a {
+				v <<= shift
+				a[i] = v
+				blk[i] = byte(v >> 56)
+			}
 		}
 		if _, err := e.w.Write(blk); err != nil {
 			e.err = err
@@ -406,29 +409,22 @@ func inverseSegment(blocks []byte, n int, mode Mode) ([]uint64, error) {
 // inverseSegmentInto reconstructs n addresses into addrs (len n; cleared
 // here, so a reused buffer is fine). pos and perm are scratch of at
 // least n entries for Sorted mode (unused for Unshuffle).
+//
+// A stable sort by a constant block is the identity, so such a block
+// builds no permutation, and until the first sort that moves anything
+// each block is read in sequence order. Unshuffle is the mode in which
+// every sort is the identity.
 func inverseSegmentInto(addrs []uint64, blocks []byte, n int, mode Mode, pos, perm []int32) {
 	for i := range addrs {
 		addrs[i] = 0
 	}
-	if mode == Unshuffle {
-		for j := 0; j < 8; j++ {
-			blk := blocks[j*n : (j+1)*n]
-			for i := 0; i < n; i++ {
-				addrs[i] = addrs[i]<<8 | uint64(blk[i])
-			}
-		}
-		return
-	}
-	// pos[e]: index of sequence element e within the current block order.
-	pos = pos[:n]
-	perm = perm[:n]
-	for i := range pos {
-		pos[i] = int32(i)
-	}
+	// pos[e]: index of sequence element e within the current block
+	// order; empty while that order is still the sequence order.
+	pos = pos[:0]
 	var start [256]int32
 	for j := 0; j < 8; j++ {
 		blk := blocks[j*n : (j+1)*n]
-		if j > 0 {
+		if j > 0 && mode == Sorted && !constant(blocks[(j-1)*n:j*n]) {
 			// The order of block j is the stable counting sort of block
 			// j-1's order by block j-1's values: rebuild that permutation
 			// from the previous block's histogram.
@@ -441,19 +437,34 @@ func inverseSegmentInto(addrs []uint64, blocks []byte, n int, mode Mode, pos, pe
 			for c := 1; c < 256; c++ {
 				start[c] = start[c-1] + hist[c-1]
 			}
-			for i := 0; i < n; i++ {
-				c := prev[i]
+			perm = perm[:n]
+			for i, c := range prev {
 				perm[i] = start[c]
 				start[c]++
 			}
-			for e := range pos {
-				pos[e] = perm[pos[e]]
+			if len(pos) == 0 {
+				pos, perm = perm, pos[:cap(pos)]
+			} else {
+				for e := range pos {
+					pos[e] = perm[pos[e]]
+				}
 			}
 		}
-		for e := 0; e < n; e++ {
-			addrs[e] = addrs[e]<<8 | uint64(blk[pos[e]])
+		if len(pos) == 0 {
+			for e, c := range blk {
+				addrs[e] = addrs[e]<<8 | uint64(c)
+			}
+		} else {
+			for e := range addrs {
+				addrs[e] = addrs[e]<<8 | uint64(blk[pos[e]])
+			}
 		}
 	}
+}
+
+// constant reports whether every byte of the non-empty b equals b[0].
+func constant(b []byte) bool {
+	return bytes.Count(b, b[:1]) == len(b)
 }
 
 // TransformBuffer applies one in-memory transformation pass and returns the

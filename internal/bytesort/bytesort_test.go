@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"atc/internal/workload"
 )
 
 // paperExample16 is the sixteen-address example of the paper's Figure 1,
@@ -282,6 +284,114 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// referenceTransform is the transformation written the plain way, as a
+// check on the Encoder: emit every byte column in turn, and in Sorted
+// mode stably scatter the addresses by the byte just emitted before the
+// next one, whether or not that byte varies.
+func referenceTransform(addrs []uint64, mode Mode) []byte {
+	n := len(addrs)
+	a := append([]uint64(nil), addrs...)
+	out := make([]byte, 0, 8*n)
+	for j := 0; j < 8; j++ {
+		shift := uint(56 - 8*j)
+		for _, v := range a {
+			out = append(out, byte(v>>shift))
+		}
+		if mode == Sorted {
+			var start [257]int
+			for _, v := range a {
+				start[int(byte(v>>shift))+1]++
+			}
+			for c := 1; c < 257; c++ {
+				start[c] += start[c-1]
+			}
+			sorted := make([]uint64, n)
+			for _, v := range a {
+				c := byte(v >> shift)
+				sorted[start[c]] = v
+				start[c]++
+			}
+			a = sorted
+		}
+	}
+	return out
+}
+
+// TestDegenerateSegments covers segments whose sorts are partly or wholly
+// the identity, which the Encoder and the inverse skip: in both modes the
+// Encoder's blocks must equal referenceTransform's, and the stream must
+// decode to the input.
+func TestDegenerateSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var repeated, lowByte, middle []uint64
+	for i := 0; i < 1000; i++ {
+		repeated = append(repeated, 0x00007F1234567890)
+		lowByte = append(lowByte, 0x00007F12345678_00|uint64(rng.Intn(256)))
+		// Column 3 (bits 32..39) is constant, columns 0-2 and 4-7 vary.
+		middle = append(middle, uint64(rng.Int63())&^(0xFF<<32)|0xAB<<32)
+	}
+	segments := map[string][]uint64{
+		"one address repeated":    repeated,
+		"only column 7 varies":    lowByte,
+		"constant middle column":  middle,
+		"one address":             {0x0123456789ABCDEF},
+		"paper example (control)": paperExample16,
+	}
+	for name, addrs := range segments {
+		for _, mode := range []Mode{Sorted, Unshuffle} {
+			if got, want := TransformBuffer(addrs, mode), referenceTransform(addrs, mode); !bytes.Equal(got, want) {
+				t.Fatalf("%s, mode %d: blocks differ from the reference", name, mode)
+			}
+			var buf bytes.Buffer
+			e := NewEncoderMode(&buf, len(addrs), mode)
+			if err := e.WriteSlice(addrs); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewDecoderMode(&buf, mode).ReadAll()
+			if err != nil {
+				t.Fatalf("%s, mode %d: %v", name, mode, err)
+			}
+			if len(got) != len(addrs) {
+				t.Fatalf("%s, mode %d: %d addresses, want %d", name, mode, len(got), len(addrs))
+			}
+			for i := range addrs {
+				if got[i] != addrs[i] {
+					t.Fatalf("%s, mode %d: addr %d = %#x, want %#x", name, mode, i, got[i], addrs[i])
+				}
+			}
+		}
+	}
+	// One Decoder reuses its scratch across segments that sort and
+	// segments that do not.
+	var buf bytes.Buffer
+	var all []uint64
+	e := NewEncoder(&buf, 1<<12)
+	for _, addrs := range [][]uint64{middle, repeated, paperExample16, lowByte, {7}, middle} {
+		all = append(all, addrs...)
+		if err := e.WriteSlice(addrs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewDecoder(&buf).ReadAll()
+	if err != nil || len(got) != len(all) {
+		t.Fatalf("mixed stream: %d addresses of %d, %v", len(got), len(all), err)
+	}
+	for i := range all {
+		if got[i] != all[i] {
+			t.Fatalf("mixed stream: addr %d = %#x, want %#x", i, got[i], all[i])
+		}
+	}
+}
+
 func TestCompressibilityImprovement(t *testing.T) {
 	// The whole point: byte columns of structured addresses are more
 	// repetitive than the interleaved layout. Verify the transform output
@@ -335,5 +445,58 @@ func BenchmarkDecode(b *testing.B) {
 		if _, err := NewDecoder(bytes.NewReader(data)).ReadAll(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// losslessModels are the four Table 1 models of the lossless benchmark
+// workload: a compiler, a pointer chaser, a streaming kernel and an XML
+// transformer.
+var losslessModels = []string{"403.gcc", "429.mcf", "462.libquantum", "483.xalancbmk"}
+
+// segmentAddrs returns one 128 Ki-address segment of model, the segment
+// size of the lossless benchmark workload.
+func segmentAddrs(tb testing.TB, model string) []uint64 {
+	tb.Helper()
+	addrs, err := workload.GenerateFiltered(model, 128<<10, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return addrs
+}
+
+// BenchmarkEncodeSegment bytesorts one real segment per lossless model;
+// their top address bytes are constant, unlike BenchmarkEncode's.
+func BenchmarkEncodeSegment(b *testing.B) {
+	for _, model := range losslessModels {
+		addrs := segmentAddrs(b, model)
+		b.Run(model, func(b *testing.B) {
+			e := NewEncoder(io.Discard, len(addrs))
+			b.SetBytes(int64(len(addrs) * 8))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := e.WriteSlice(addrs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInverseSegment inverts one real segment per lossless model
+// into reused buffers, as a reused Decoder does.
+func BenchmarkInverseSegment(b *testing.B) {
+	for _, model := range losslessModels {
+		addrs := segmentAddrs(b, model)
+		blocks := TransformBuffer(addrs, Sorted)
+		b.Run(model, func(b *testing.B) {
+			n := len(addrs)
+			out := make([]uint64, n)
+			pos, perm := make([]int32, n), make([]int32, n)
+			b.SetBytes(int64(n * 8))
+			b.ReportAllocs()
+			for b.Loop() {
+				inverseSegmentInto(out, blocks, n, Sorted, pos, perm)
+			}
+		})
 	}
 }

@@ -14,9 +14,9 @@ import (
 // cap instead of one count bound per trace. Residency is accounted in
 // decoded bytes (len(addrs)*8 per chunk — chunk sizes vary wildly with
 // IntervalLen/SegmentAddrs across traces, so counting entries would not
-// bound memory), eviction is LRU by bytes, and pinned chunks survive
-// eviction pressure. It is safe for concurrent use and deduplicates
-// concurrent misses of one chunk onto a single load (singleflight).
+// bound memory) and eviction is LRU by bytes. It is safe for concurrent
+// use and deduplicates concurrent misses of one chunk onto a single load
+// (singleflight).
 //
 // Readers never see this type directly: ForTrace returns a lightweight
 // per-trace view, injected per Reader through DecodeOptions.ChunkCache.
@@ -25,7 +25,7 @@ type SharedChunkCacheBytes struct {
 	budget int64
 
 	mu       sync.Mutex
-	bytes    int64 // resident decoded bytes, including pinned entries
+	bytes    int64 // resident decoded bytes
 	ll       list.List
 	m        map[byteCacheKey]*list.Element
 	inflight map[byteCacheKey]*chunkFlight
@@ -50,14 +50,11 @@ type byteCacheKey struct {
 	id    int
 }
 
-// byteCacheEntry is one resident chunk. pins > 0 exempts it from
-// eviction; the byte budget may be exceeded transiently by pinned bytes
-// (pinning is an explicit operator action, bounded by its callers).
+// byteCacheEntry is one resident chunk.
 type byteCacheEntry struct {
 	key   byteCacheKey
 	addrs []uint64
 	size  int64
-	pins  int
 	view  *TraceChunkCache
 }
 
@@ -117,24 +114,20 @@ func (c *SharedChunkCacheBytes) putLocked(v *TraceChunkCache, key byteCacheKey, 
 	c.evictLocked()
 }
 
-// evictLocked removes unpinned entries from the LRU end until resident
-// bytes fit the budget. Pinned entries are skipped in place — they keep
-// their recency position and rejoin normal eviction once unpinned.
+// evictLocked removes entries from the LRU end until resident bytes fit
+// the budget.
 func (c *SharedChunkCacheBytes) evictLocked() {
-	for e := c.ll.Back(); e != nil && c.bytes > c.budget; {
-		prev := e.Prev()
+	for c.bytes > c.budget {
+		e := c.ll.Back()
 		ent := e.Value.(*byteCacheEntry)
-		if ent.pins == 0 {
-			delete(c.m, ent.key)
-			c.ll.Remove(e)
-			c.bytes -= ent.size
-			ent.view.residentBytes.Add(-ent.size)
-			ent.view.residentChunks.Add(-1)
-			ent.view.evictions.Add(1)
-			c.evictions.Add(1)
-			metChunkCacheEvict.Inc()
-		}
-		e = prev
+		delete(c.m, ent.key)
+		c.ll.Remove(e)
+		c.bytes -= ent.size
+		ent.view.residentBytes.Add(-ent.size)
+		ent.view.residentChunks.Add(-1)
+		ent.view.evictions.Add(1)
+		c.evictions.Add(1)
+		metChunkCacheEvict.Inc()
 	}
 }
 
@@ -144,8 +137,7 @@ type SharedChunkCacheBytesStats struct {
 	Hits      int64
 	Loads     int64
 	Evictions int64
-	// ResidentBytes is the decoded bytes currently cached (≤ Budget except
-	// transiently for pinned entries).
+	// ResidentBytes is the decoded bytes currently cached (≤ Budget).
 	ResidentBytes  int64
 	ResidentChunks int
 	Budget         int64
@@ -230,8 +222,10 @@ func (v *TraceChunkCache) Put(id int, addrs []uint64) {
 // GetOrLoad implements the singleflight load path across every reader of
 // every trace sharing the budget: on a miss the first caller runs load
 // while concurrent callers for the same (trace, chunk) wait and share the
-// result. Failed loads are not cached — every waiter sees the error, and
-// the next request retries.
+// result. With pin set a successful load is inserted (and, like any
+// entry, evicted LRU-by-bytes); without it the result goes only to this
+// call and its waiters. Failed loads are not cached — every waiter sees
+// the error, and the next request retries.
 func (v *TraceChunkCache) GetOrLoad(id int, pin bool, load func() ([]uint64, error)) ([]uint64, error) {
 	c := v.c
 	key := byteCacheKey{v.trace, id}
@@ -273,39 +267,6 @@ func (v *TraceChunkCache) GetOrLoad(id int, pin bool, load func() ([]uint64, err
 	v.loads.Add(1)
 	c.loads.Add(1)
 	return f.addrs, nil
-}
-
-// Pin exempts a resident chunk from eviction until Unpin, reporting
-// whether it was resident. Pins nest. Pinned bytes still count against
-// the budget, so heavy pinning can hold residency above it — pinning is
-// for keeping a hot trace's working set resident under pressure, not a
-// second cache.
-func (v *TraceChunkCache) Pin(id int) bool {
-	c := v.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[byteCacheKey{v.trace, id}]
-	if !ok {
-		return false
-	}
-	e.Value.(*byteCacheEntry).pins++
-	return true
-}
-
-// Unpin releases one Pin and re-applies the budget (an over-budget cache
-// evicts immediately once the pin count allows).
-func (v *TraceChunkCache) Unpin(id int) {
-	c := v.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[byteCacheKey{v.trace, id}]
-	if !ok {
-		return
-	}
-	if ent := e.Value.(*byteCacheEntry); ent.pins > 0 {
-		ent.pins--
-	}
-	c.evictLocked()
 }
 
 // TraceCacheStats counts one trace's share of a SharedChunkCacheBytes.

@@ -2,8 +2,7 @@ package core
 
 // Tests of the process-wide byte-budgeted chunk cache: budget enforcement
 // under concurrent load across traces, LRU-by-bytes eviction order,
-// pinned-chunk protection, singleflight loads and the oversize-entry
-// bypass.
+// singleflight loads and the oversize-entry bypass.
 
 import (
 	"errors"
@@ -84,37 +83,6 @@ func TestByteCacheTracesDoNotCollide(t *testing.T) {
 	got, ok = b.Get(7)
 	if !ok || got[0] != 222 {
 		t.Fatalf("trace b chunk 7 = %v, %v; want [222 ...], true", got, ok)
-	}
-}
-
-func TestByteCachePinnedSurvivesPressure(t *testing.T) {
-	c := NewSharedChunkCacheBytes(4 * 80)
-	v := c.ForTrace("t")
-	v.Put(0, chunkOf(10, 0))
-	if !v.Pin(0) {
-		t.Fatal("pin of resident chunk reported not resident")
-	}
-	if v.Pin(99) {
-		t.Fatal("pin of absent chunk reported resident")
-	}
-	// Flood far past the budget: the pinned chunk must never leave.
-	for id := 1; id <= 40; id++ {
-		v.Put(id, chunkOf(10, uint64(id)))
-		if _, ok := v.Get(0); !ok {
-			t.Fatalf("pinned chunk evicted after put of chunk %d", id)
-		}
-	}
-	v.Unpin(0)
-	// Unpinned and cold after the flood's Get(0) refreshes… Get marked it
-	// MRU, so push three more chunks to age it out.
-	for id := 41; id <= 48; id++ {
-		v.Put(id, chunkOf(10, uint64(id)))
-	}
-	if _, ok := v.Get(0); ok {
-		t.Fatal("unpinned chunk still resident after sustained pressure")
-	}
-	if st := c.Stats(); st.ResidentBytes > st.Budget {
-		t.Fatalf("resident bytes %d exceed budget %d after unpin", st.ResidentBytes, st.Budget)
 	}
 }
 

@@ -444,6 +444,44 @@ func BenchmarkDecodeAddrBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeAddrBlock codes the symbol stream of one full-size bsc
+// block of each lossless model (the stream BenchmarkDecodeAddrBlock
+// decodes) through WriteSymbol and a bit writer, length header included,
+// as bsc does. Bytes are the block's decoded size.
+func BenchmarkEncodeAddrBlock(b *testing.B) {
+	for _, model := range losslessModels {
+		syms := addrBlockSyms(b, model, 128<<10)
+		lengths := blockLengths(b, syms)
+		cb, err := NewCodebook(lengths)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(model, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.SetBytes(blockSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				buf.Reset()
+				bw := bitio.NewWriter(&buf)
+				for _, l := range lengths {
+					if err := bw.WriteBits(uint64(l), lenBits); err != nil {
+						b.Fatal(err)
+					}
+				}
+				enc := NewEncoder(cb, bw)
+				for _, s := range syms {
+					if err := enc.WriteSymbol(int(s)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := bw.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 64<<10)

@@ -16,8 +16,11 @@
 package mtf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Symbol constants for the run-length encoded MTF stream.
@@ -37,49 +40,62 @@ var errCorrupt = errors.New("mtf: corrupt symbol stream")
 
 // Encode applies move-to-front to data and returns the zero-run encoded
 // symbol stream, terminated by EOB.
+//
+// A byte equal to the front of the MTF table starts a zero run, and the
+// run lasts exactly as long as the bytes stay equal, so each run is
+// measured whole and its digits emitted in one go.
 func Encode(data []byte) []uint16 {
 	var order [256]byte
 	for i := range order {
 		order[i] = byte(i)
 	}
 	syms := make([]uint16, 0, len(data)/2+16)
-	zeroRun := 0
-	flushRun := func() {
-		r := zeroRun
-		for r > 0 {
-			if r&1 == 1 {
-				syms = append(syms, RunA)
-				r = (r - 1) / 2
-			} else {
-				syms = append(syms, RunB)
-				r = (r - 2) / 2
-			}
-		}
-		zeroRun = 0
-	}
-	for _, b := range data {
-		// Find position of b in the MTF table and move it to front.
-		var pos int
-		if order[0] == b {
-			pos = 0
-		} else {
-			j := 1
-			for order[j] != b {
-				j++
-			}
-			copy(order[1:j+1], order[:j])
-			order[0] = b
-			pos = j
-		}
-		if pos == 0 {
-			zeroRun++
+	for i := 0; i < len(data); {
+		b := data[i]
+		if b == order[0] {
+			r := runLen(data[i:], b)
+			syms = appendRun(syms, r)
+			i += r
 			continue
 		}
-		flushRun()
+		pos := 1 + bytes.IndexByte(order[1:], b)
+		copy(order[1:pos+1], order[:pos])
+		order[0] = b
 		syms = append(syms, uint16(pos+1))
+		i++
 	}
-	flushRun()
 	return append(syms, EOB)
+}
+
+// runLen returns how many leading bytes of data equal b; data[0] == b.
+// It compares eight bytes per step.
+func runLen(data []byte, b byte) int {
+	pat := uint64(b) * 0x0101010101010101
+	i := 1
+	for ; i+8 <= len(data); i += 8 {
+		if x := binary.LittleEndian.Uint64(data[i:]) ^ pat; x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < len(data) && data[i] == b {
+		i++
+	}
+	return i
+}
+
+// appendRun appends the bijective base-2 RUNA/RUNB digits of a zero run
+// of length r > 0.
+func appendRun(syms []uint16, r int) []uint16 {
+	for r > 0 {
+		if r&1 == 1 {
+			syms = append(syms, RunA)
+			r = (r - 1) / 2
+		} else {
+			syms = append(syms, RunB)
+			r = (r - 2) / 2
+		}
+	}
+	return syms
 }
 
 // Decode reverses Encode. It consumes symbols up to and including the first

@@ -169,14 +169,48 @@ var losslessModels = []string{"403.gcc", "429.mcf", "462.libquantum", "483.xalan
 // bytesorted 128 Ki-address segment, as in the lossless benchmark
 // workload.
 func addrBlock(tb testing.TB, model string) []byte {
+	return bwtBlock(tb, model, 128<<10)
+}
+
+// bwtBlock is the BWT of the first block (at most 900 KB) of a
+// bytesorted n-address segment of model.
+func bwtBlock(tb testing.TB, model string, n int) []byte {
 	tb.Helper()
 	const blockSize = 900 * 1000 // bsc.DefaultBlockSize; bsc imports mtf
-	addrs, err := workload.GenerateFiltered(model, 128<<10, 1)
+	addrs, err := workload.GenerateFiltered(model, n, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	transformed, _ := bwt.Transform(bytesort.TransformBuffer(addrs, bytesort.Sorted)[:blockSize])
+	block := bytesort.TransformBuffer(addrs, bytesort.Sorted)
+	transformed, _ := bwt.Transform(block[:min(len(block), blockSize)])
 	return transformed
+}
+
+// referenceEncode is the linear-scan encoder Encode replaced: one table
+// search and one run step per byte. Encode must match it symbol for
+// symbol.
+func referenceEncode(data []byte) []uint16 {
+	var order [256]byte
+	for i := range order {
+		order[i] = byte(i)
+	}
+	syms := make([]uint16, 0, len(data)/2+16)
+	zeroRun := 0
+	for _, b := range data {
+		if order[0] == b {
+			zeroRun++
+			continue
+		}
+		j := 1
+		for order[j] != b {
+			j++
+		}
+		copy(order[1:j+1], order[:j])
+		order[0] = b
+		syms = append(append(syms, runSyms(zeroRun)...), uint16(j+1))
+		zeroRun = 0
+	}
+	return append(append(syms, runSyms(zeroRun)...), EOB)
 }
 
 // BenchmarkEncodeAddrBlock move-to-front and zero-run codes one real block
